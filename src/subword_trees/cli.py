@@ -57,11 +57,12 @@ def _resolve_language(path: str) -> Language:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(text)
+    lo_s, sep, hi_s = text.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if sep else lo
+    except ValueError:
+        raise UsageError(f"invalid range {text!r}: expected N or LO..HI") from None
     if not 1 <= lo <= hi:
         raise UsageError(f"invalid range {text!r}: need 1 <= lo <= hi")
     return lo, hi

@@ -1,15 +1,22 @@
 """Exact brute-force oracles for the four depth measures, plus depth profiles.
 
 Recognition depths come from a memoized minimax over the consistent member
-subsets reachable by splitting queries; membership depths from the analogous
-minimax over partial letter assignments, with certificate sizes computed by
-exact hitting-set search.  Everything here is exhaustive and exact at desk
-scale; the caps raise ``CapExceeded`` rather than silently approximating.
+subsets reachable by splitting queries, and from exact hitting-set search for
+the separating certificates.  Membership depths work on the truth table of
+the slice indicator, one big int with a bit per length-n word: ``md`` is a
+minimax memoized on the restricted subfunction, so partial assignments with
+equal restrictions share one entry, and ``ma`` is the certificate complexity,
+found by one sweep over sets of freed positions.  Single-word membership
+certificates come from a lazy branch and bound over the slice automaton.
+Everything here is exhaustive and exact at desk scale; the caps raise
+``CapExceeded`` rather than silently approximating, and no ``max_n`` lifts
+membership past ``MAX_TABLE_N``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .language import Language
 from .trees import Branch, DecisionTree, Leaf, trace_strategy
@@ -20,6 +27,7 @@ MAX_BRUTE_N = 22
 MAX_RECOGNITION_N = 16
 MAX_SLICE = 4096
 MAX_MEMBERSHIP_N = 14
+MAX_TABLE_N = 20  # membership truth tables: 2^20 bits is 128 KiB, whatever max_n says
 
 
 class CapExceeded(RuntimeError):
@@ -243,73 +251,114 @@ def recognition_depth_nondet(
 
 
 # ---------------------------------------------------------------------------
-# membership: minimax over partial assignments
+# membership: truth tables of the slice indicator
+#
+# The indicator of the length-n slice is one big int with bit x set iff
+# format(x, f"0{n}b") is a member, so position p is index bit n - p.  A
+# subfunction over k free positions is a 2^k-bit table of the same shape: its
+# i-th free position (ascending) is index bit k - 1 - i.
 
 
 def _check_membership_caps(n, max_n):
-    if not 1 <= n <= max_n:
-        raise CapExceeded(f"membership oracle capped at 1 <= n <= {max_n}, got {n}")
+    cap = min(max_n, MAX_TABLE_N)
+    if not 1 <= n <= cap:
+        raise CapExceeded(f"membership oracle capped at 1 <= n <= {cap}, got {n}")
+
+
+def _truth_table(lang: Language, n: int) -> int:
+    table = bytearray(max(1, (1 << n) >> 3))
+    for w in lang.iter_slice(n):
+        x = int(w, 2)
+        table[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(table, "little")
+
+
+@lru_cache(maxsize=None)  # one entry per table width k <= MAX_TABLE_N
+def _index_masks(k: int) -> tuple[int, ...]:
+    """masks[j]: the bits of a 2^k-bit table whose index has bit j clear."""
+    ones = (1 << (1 << k)) - 1
+    return tuple(((1 << (1 << j)) - 1) * (ones // ((1 << (2 << j)) - 1)) for j in range(k))
+
+
+def _cofactor(t: int, masks: tuple[int, ...], j: int, bit: int) -> int:
+    """The subtable of ``t`` with index bit j fixed to ``bit``, over the other bits.
+
+    One shift and one mask select the half, then a log-step compaction merges
+    neighbouring blocks into blocks twice as long until the gaps are gone.
+    """
+    t = (t >> (bit << j)) & masks[j]
+    for i in range(j + 1, len(masks)):
+        t = (t | t >> (1 << (i - 1))) & masks[i]
+    return t
 
 
 def _membership_minimax(lang: Language, n: int, max_n: int):
-    """Returns (depth, choice per (assigned, values) masks, constancy lookup)."""
+    """Returns (truth table, optimal depth, choice per subfunction).
+
+    The memo key is ``(k, table)`` for a subfunction over k free positions, so
+    assignments with equal restrictions share one entry.  A choice is an index
+    into the free positions; candidates are tried in ascending order and only
+    a strictly better one replaces the current choice, so the replayed tree
+    queries the first optimal position at every node.
+    """
     _check_membership_caps(n, max_n)
-    aut = lang.automaton()
+    ones = [(1 << (1 << k)) - 1 for k in range(n + 1)]
     memo: dict[tuple[int, int], int] = {}
     choices: dict[tuple[int, int], int] = {}
-    kinds: dict[tuple[int, int], str] = {}
 
-    def h(am: int, vm: int, assign: dict[int, int]) -> int:
-        key = (am, vm)
+    def h(k: int, t: int) -> int:
+        if t == 0 or t == ones[k]:
+            return 0
+        key = (k, t)
         cached = memo.get(key)
         if cached is not None:
             return cached
-        member_ok = aut.exists_consistent(n, assign, True)
-        if not member_ok or not aut.exists_consistent(n, assign, False):
-            memo[key] = 0
-            kinds[key] = "1" if member_ok else "0"
-            return 0
+        masks = _index_masks(k)
         best = None
-        for p in range(1, n + 1):
-            bit = 1 << (p - 1)
-            if am & bit:
-                continue
-            d0 = h(am | bit, vm, {**assign, p: 0})
+        for i in range(k):
+            j = k - 1 - i
+            if not (t ^ t >> (1 << j)) & masks[j]:
+                continue  # t does not depend on this position
+            d0 = h(k - 1, _cofactor(t, masks, j, 0))
             if best is not None and 1 + d0 >= best:
                 continue
-            cand = 1 + max(d0, h(am | bit, vm | bit, {**assign, p: 1}))
+            cand = 1 + max(d0, h(k - 1, _cofactor(t, masks, j, 1)))
             if best is None or cand < best:
                 best = cand
-                choices[key] = p
+                choices[key] = i
                 if best == 1:
                     break
         memo[key] = best
         return best
 
-    depth = h(0, 0, {})
-    return depth, choices, kinds
+    table = _truth_table(lang, n)
+    return table, h(n, table), choices
 
 
 def membership_depth_det(lang: Language, n: int, max_n: int = MAX_MEMBERSHIP_N) -> int:
     """Minimum depth of a deterministic tree deciding slice membership (exact)."""
-    return _membership_minimax(lang, n, max_n)[0]
+    return _membership_minimax(lang, n, max_n)[1]
 
 
 def optimal_membership_tree(
     lang: Language, n: int, max_n: int = MAX_MEMBERSHIP_N
 ) -> DecisionTree:
     """Depth-optimal deterministic membership tree, replayed from the minimax."""
-    _, choices, kinds = _membership_minimax(lang, n, max_n)
+    table, _, choices = _membership_minimax(lang, n, max_n)
 
-    def build(am: int, vm: int):
-        key = (am, vm)
-        if key in kinds:
-            return Leaf(kinds[key])
-        p = choices[key]
-        bit = 1 << (p - 1)
-        return Branch(p, ((0, build(am | bit, vm)), (1, build(am | bit, vm | bit))))
+    def build(free: tuple[int, ...], t: int):
+        k = len(free)
+        i = choices.get((k, t))
+        if i is None:  # only constant subfunctions have no choice
+            return Leaf("1" if t else "0")
+        j = k - 1 - i
+        masks = _index_masks(k)
+        rest = free[:i] + free[i + 1 :]
+        return Branch(
+            free[i], tuple((bit, build(rest, _cofactor(t, masks, j, bit))) for bit in (0, 1))
+        )
 
-    return DecisionTree((build(0, 0),))
+    return DecisionTree((build(tuple(range(1, n + 1)), table),))
 
 
 def membership_certificate(
@@ -385,39 +434,35 @@ def membership_certificate(
 def membership_depth_nondet(lang: Language, n: int, max_n: int = MAX_MEMBERSHIP_N) -> int:
     """Largest over all 2^n words of the minimum certificate size (exact).
 
-    Members are handled by the lazy branch-and-bound; non-members reduce to a
-    hitting set over their difference masks against the member list when that
-    list is small, and fall back to the lazy search otherwise.
+    A certificate of size n - l for x is a subcube through x with l freed
+    positions on which the indicator is constant.  One depth-first sweep
+    visits the sets of freed positions in increasing index order, carrying the
+    AND and the OR of the table over each subcube; an input is covered when
+    its subcube is all members or has none.  Freeing more positions only
+    shrinks the covered set, so a branch ends once it is empty.  The answer is
+    n - max{l : every input is covered by some set of l freed positions}.
     """
     _check_membership_caps(n, max_n)
-    if not lang.obstructions:
-        return 0  # complement empty: the answer is constant
-    members, member_ints = _slice_ints(lang, n)
-    if not members:
-        return 0  # empty slice: the answer is constant
-    best = 0
-    for w in members:
-        if best == n:
-            return best
-        cert = membership_certificate(lang, n, w, upper=None, max_n=max_n)
-        best = max(best, len(cert))
-    member_set = set(member_ints)
-    use_masks = len(members) <= 1024
-    for x in range(1 << n):
-        if best == n:
-            return best
-        if x in member_set:
-            continue
-        if use_masks:
-            masks = [x ^ m for m in member_ints]
-            if greedy_hitting_set(masks).bit_count() <= best:
-                continue
-            best = max(best, min_hitting_set(masks).bit_count())
-        else:
-            w = format(x, f"0{n}b")
-            cert = membership_certificate(lang, n, w, upper=None, max_n=max_n)
-            best = max(best, len(cert))
-    return best
+    table = _truth_table(lang, n)
+    ones = (1 << (1 << n)) - 1
+    if table == 0 or table == ones:
+        return 0  # the answer is constant
+    masks = _index_masks(n)
+    covered_by_size = [0] * (n + 1)
+
+    def sweep(start: int, size: int, all_in: int, any_in: int) -> None:
+        covered = all_in | (any_in ^ ones)
+        if not covered:
+            return
+        covered_by_size[size] |= covered
+        for j in range(start, n):
+            s = 1 << j
+            a = all_in & (all_in >> s) & masks[j]
+            o = (any_in | any_in >> s) & masks[j]
+            sweep(j + 1, size + 1, a | a << s, o | o << s)
+
+    sweep(0, 0, table, table)
+    return n - max(size for size, c in enumerate(covered_by_size) if c == ones)
 
 
 # ---------------------------------------------------------------------------

@@ -354,7 +354,7 @@ def tree_from_json(text: str) -> DecisionTree:
         if "query" in obj:
             pos = obj["query"]
             edges = obj.get("edges")
-            if not isinstance(pos, int):
+            if type(pos) is not int:  # bool is an int subclass; floats compare equal
                 raise TreeFormatError("'query' must be an integer position")
             if not isinstance(edges, list) or not edges:
                 raise TreeFormatError("'edges' must be a non-empty list")
@@ -362,7 +362,7 @@ def tree_from_json(text: str) -> DecisionTree:
             for e in edges:
                 if not isinstance(e, dict) or "bit" not in e or "child" not in e:
                     raise TreeFormatError("edge needs 'bit' and 'child'")
-                if e["bit"] not in (0, 1):
+                if type(e["bit"]) is not int or e["bit"] not in (0, 1):
                     raise TreeFormatError("edge 'bit' must be 0 or 1")
                 decoded.append((e["bit"], decode(e["child"])))
             return Branch(pos, tuple(decoded))

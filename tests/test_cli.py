@@ -149,6 +149,20 @@ def test_depths_bad_range(capsys):
     assert code == 1
 
 
+def test_depths_non_numeric_range_is_usage_error(capsys):
+    code, _, err = run(capsys, "depths", "L1", "-n", "a..b")
+    assert code == 1
+    assert "invalid range" in err
+
+
+def test_depths_membership_past_table_width_is_skipped(capsys):
+    # --max-n cannot lift membership past the truth-table width cap
+    code, out, _ = run(capsys, "depths", "L3", "-n", "21", "--measures", "md", "--max-n", "30")
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert row[4] == "" and row[9] == "SKIPPED"
+
+
 # -- build-tree ---------------------------------------------------------------------
 
 
@@ -342,6 +356,17 @@ def test_validate_position_out_of_range_is_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(path), "L3", "-n", "3")
     assert code == 2
     assert "position" in err
+
+
+@pytest.mark.parametrize("query, bit", [("true", "0"), ("1", "1.0")])
+def test_validate_rejects_bool_and_float_positions_and_bits(tmp_path, capsys, query, bit):
+    path = tmp_path / "typed.json"
+    path.write_text(
+        f'{{"children": [{{"query": {query}, "edges": [{{"bit": {bit}, "child": {{"leaf": "0"}}}}]}}]}}'
+    )
+    code, _, err = run(capsys, "validate", str(path), "L3", "-n", "3", "--problem", "membership")
+    assert code == 2
+    assert "must be" in err
 
 
 def test_validate_malformed_tree_document(tmp_path, capsys):

@@ -4,6 +4,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+from reference_membership import (
+    reference_membership_depth_det,
+    reference_membership_depth_nondet,
+    reference_optimal_membership_tree,
+)
 
 from subword_trees import (
     Language,
@@ -12,6 +19,7 @@ from subword_trees import (
     validate_recognition,
 )
 from subword_trees.oracle import (
+    MAX_TABLE_N,
     CapExceeded,
     brute_slice,
     depth_profile,
@@ -138,6 +146,48 @@ def test_membership_oracles_match_naive(n):
     for lang in small_languages():
         assert membership_depth_det(lang, n) == naive_h_md(lang, n), lang.name
         assert membership_depth_nondet(lang, n) == naive_h_ma(lang, n), lang.name
+
+
+# -- truth-table membership oracles against the partial-assignment reference ---
+
+
+def membership_differential_languages():
+    return small_languages() + [
+        Language.from_forbidden("avoid-001-010-0111", ["001", "010", "0111"]),  # class 3, t = 4
+        Language.from_forbidden("avoid-001-0000-0111", ["001", "0000", "0111"]),  # class 4
+    ]
+
+
+def assert_membership_matches_reference(lang, n):
+    where = (lang.name, lang.obstructions, n)
+    assert membership_depth_det(lang, n) == reference_membership_depth_det(lang, n), where
+    assert membership_depth_nondet(lang, n) == reference_membership_depth_nondet(lang, n), where
+    # dataclass equality compares the trees node by node
+    assert optimal_membership_tree(lang, n) == reference_optimal_membership_tree(lang, n), where
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_membership_oracles_match_reference(n):
+    for lang in membership_differential_languages():
+        assert_membership_matches_reference(lang, n)
+
+
+@given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_membership_oracles_match_reference_on_drawn_antichains(words):
+    lang = Language.from_forbidden("drawn", words)
+    for n in range(1, 9):
+        assert_membership_matches_reference(lang, n)
+
+
+def test_membership_table_width_is_capped_whatever_max_n():
+    L3 = bundled_language("L3")
+    n = MAX_TABLE_N + 1
+    for oracle_call in (membership_depth_det, membership_depth_nondet, optimal_membership_tree):
+        with pytest.raises(CapExceeded):
+            oracle_call(L3, n, max_n=30)
+    with pytest.raises(CapExceeded):
+        membership_certificate(L3, n, "0" * n, max_n=30)
 
 
 # -- frozen example values -----------------------------------------------------

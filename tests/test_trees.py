@@ -258,6 +258,10 @@ def test_json_empty_tree():
         '{"children": [{"query": 1, "edges": [{"bit": 2, "child": {"leaf": "0"}}]}]}',
         '{"children": [{"bogus": 1}]}',
         '{"leaf": "0"}',
+        '{"children": [{"query": true, "edges": [{"bit": 0, "child": {"leaf": "0"}}]}]}',
+        '{"children": [{"query": 1.0, "edges": [{"bit": 0, "child": {"leaf": "0"}}]}]}',
+        '{"children": [{"query": 1, "edges": [{"bit": false, "child": {"leaf": "0"}}]}]}',
+        '{"children": [{"query": 1, "edges": [{"bit": 1.0, "child": {"leaf": "0"}}]}]}',
     ],
 )
 def test_json_malformed_documents(doc):
