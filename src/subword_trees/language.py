@@ -28,7 +28,7 @@ def require_word(s: str) -> str:
     """Validate that ``s`` is a word over {0,1}; return it unchanged."""
     if not isinstance(s, str):
         raise LanguageSpecError(f"expected a word string, got {type(s).__name__}")
-    if any(c not in ALPHABET for c in s):
+    if s.strip(ALPHABET):
         raise LanguageSpecError(f"invalid letter in word {s!r}: only '0' and '1' are allowed")
     return s
 
@@ -105,7 +105,12 @@ class Language:
         return cls(name, closure_to_antichain(generators))
 
     def contains(self, w: str) -> bool:
-        """Membership: no obstruction embeds into ``w`` as a subsequence."""
+        """Membership: no obstruction embeds into ``w`` as a subsequence.
+
+        Raises ``LanguageSpecError`` if ``w`` has a letter other than 0 and 1.
+        """
+        if w.strip(ALPHABET):
+            require_word(w)  # raises, naming the word
         return not any(is_subsequence(f, w) for f in self.obstructions)
 
     def automaton(self) -> "SliceAutomaton":

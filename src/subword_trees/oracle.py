@@ -139,20 +139,50 @@ def _check_recognition_caps(lang, n, max_n, max_slice):
 
 
 def _recognition_minimax(lang, n, max_n, max_slice):
-    """Returns (words, optimal depth, split choice per subset bitmask)."""
+    """Returns (words, optimal depth, split choice per subset bitmask, split masks).
+
+    ``zero_mask[p]`` is the subset of slice indices whose word has a 0 at
+    0-based position p, so querying p splits S into ``S & zero_mask[p]`` and
+    the rest.  A subset stops early once it meets its lower bound: first
+    ``ceil(log2 |S|)``, and, once the first splitting position has missed that,
+    the sensitivity of S, the largest number of Hamming neighbours a member
+    of S has inside S.  A tree that tells w apart from the rest of S must query
+    every position whose flip keeps the word in S, so the bound is valid.
+    Positions are tried in ascending order and only a strictly better one
+    replaces the current choice, so the replayed tree queries the first
+    optimal position at every node.
+    """
     _check_recognition_caps(lang, n, max_n, max_slice)
     words, ints = _slice_ints(lang, n)
     k = len(words)
     choices: dict[int, int] = {}
-    if k <= 1:
-        return words, 0, choices
     zero_mask = [0] * n
     for idx, x in enumerate(ints):
         for p in range(n):
             if not x >> (n - 1 - p) & 1:
                 zero_mask[p] |= 1 << idx
-    full = (1 << k) - 1
+    if k <= 1:
+        return words, 0, choices, zero_mask
     memo: dict[int, int] = {}
+    nbr: list[int] = []  # nbr[i]: the slice indices at Hamming distance 1 from word i
+    max_degree = 0
+
+    def raise_lower(S: int, lower: int, cap: int) -> int:
+        """max(lower, sensitivity of S), stopping early once it reaches cap."""
+        nonlocal max_degree
+        if not nbr:  # built on first use: slices where log2 is tight never need it
+            index = {x: idx for idx, x in enumerate(ints)}
+            for x in ints:
+                nbr.append(sum(1 << j for p in range(n) if (j := index.get(x ^ 1 << p)) is not None))
+            max_degree = max(m.bit_count() for m in nbr)
+        if max_degree <= lower:
+            return lower  # no subset of this slice is more sensitive than that
+        members = bin(S)[:1:-1]  # bit i of S is members[i]
+        i = members.find("1")
+        while i >= 0 and lower < cap:
+            lower = max(lower, (nbr[i] & S).bit_count())
+            i = members.find("1", i + 1)
+        return lower
 
     def h(S: int) -> int:
         if S & (S - 1) == 0:
@@ -172,6 +202,8 @@ def _recognition_minimax(lang, n, max_n, max_slice):
                 continue
             cand = 1 + max(d0, h(s1))
             if best is None or cand < best:
+                if best is None and cand > lower:
+                    lower = raise_lower(S, lower, cand)
                 best = cand
                 choices[S] = p
                 if best == lower:
@@ -179,7 +211,7 @@ def _recognition_minimax(lang, n, max_n, max_slice):
         memo[S] = best
         return best
 
-    return words, h(full), choices
+    return words, h((1 << k) - 1), choices, zero_mask
 
 
 def recognition_depth_det(
@@ -193,17 +225,9 @@ def optimal_recognition_tree(
     lang: Language, n: int, max_n: int = MAX_RECOGNITION_N, max_slice: int = MAX_SLICE
 ) -> DecisionTree:
     """Depth-optimal deterministic recognition tree, replayed from the minimax."""
-    words, _, choices = _recognition_minimax(lang, n, max_n, max_slice)
+    words, _, choices, zero_mask = _recognition_minimax(lang, n, max_n, max_slice)
     if not words:
         return DecisionTree(())
-    if len(words) == 1:
-        return DecisionTree((Leaf(words[0]),))
-    ints = [int(w, 2) for w in words]
-    zero_mask = [0] * n
-    for idx, x in enumerate(ints):
-        for p in range(n):
-            if not x >> (n - 1 - p) & 1:
-                zero_mask[p] |= 1 << idx
 
     def build(S: int):
         if S & (S - 1) == 0:

@@ -338,11 +338,6 @@ def tree_to_json(tree: DecisionTree) -> str:
 
 
 def tree_from_json(text: str) -> DecisionTree:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TreeFormatError(f"malformed tree document: {exc}") from exc
-
     def decode(obj) -> Node:
         if not isinstance(obj, dict):
             raise TreeFormatError("tree node must be an object")
@@ -368,9 +363,15 @@ def tree_from_json(text: str) -> DecisionTree:
             return Branch(pos, tuple(decoded))
         raise TreeFormatError("tree node needs 'leaf' or 'query'")
 
-    if not isinstance(doc, dict) or "children" not in doc or not isinstance(doc["children"], list):
-        raise TreeFormatError("tree document must be an object with a 'children' list")
-    return DecisionTree(tuple(decode(c) for c in doc["children"]))
+    try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict) or "children" not in doc or not isinstance(doc["children"], list):
+            raise TreeFormatError("tree document must be an object with a 'children' list")
+        return DecisionTree(tuple(decode(c) for c in doc["children"]))
+    except json.JSONDecodeError as exc:
+        raise TreeFormatError(f"malformed tree document: {exc}") from exc
+    except RecursionError as exc:  # json.loads and decode both recurse per level
+        raise TreeFormatError("tree document is nested too deeply") from exc
 
 
 def tree_to_dot(tree: DecisionTree) -> str:

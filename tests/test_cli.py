@@ -376,6 +376,17 @@ def test_validate_malformed_tree_document(tmp_path, capsys):
     assert code == 2
 
 
+def test_validate_deeply_nested_tree_document_is_exit_2(tmp_path, capsys):
+    depth = 3000
+    opening = '{"query": 1, "edges": [{"bit": 0, "child": '
+    node = opening * depth + '{"leaf": "0"}' + "}]}" * depth
+    path = tmp_path / "deep.json"
+    path.write_text(f'{{"children": [{node}]}}')
+    code, _, err = run(capsys, "validate", str(path), "L3", "-n", "3")
+    assert code == 2
+    assert "nested too deeply" in err
+
+
 # -- misc --------------------------------------------------------------------------
 
 

@@ -123,6 +123,13 @@ def test_contains_examples():
     assert not Language.from_forbidden("empty", [""]).contains("0")
 
 
+@pytest.mark.parametrize("word", ["2x", "2", "0a1", "01 ", "１"])
+def test_contains_rejects_non_binary_letters(word):
+    for obstructions in (["11"], [], [""]):
+        with pytest.raises(LanguageSpecError):
+            Language.from_forbidden("x", obstructions).contains(word)
+
+
 def test_slice_examples():
     assert Language.from_forbidden("x", ["10"]).slice(2) == ["00", "01", "11"]
     assert Language.from_forbidden("empty", [""]).slice(3) == []

@@ -11,6 +11,10 @@ from reference_membership import (
     reference_membership_depth_nondet,
     reference_optimal_membership_tree,
 )
+from reference_recognition import (
+    reference_optimal_recognition_tree,
+    reference_recognition_depth_det,
+)
 
 from subword_trees import (
     Language,
@@ -178,6 +182,60 @@ def test_membership_oracles_match_reference_on_drawn_antichains(words):
     lang = Language.from_forbidden("drawn", words)
     for n in range(1, 9):
         assert_membership_matches_reference(lang, n)
+
+
+# -- pruned recognition minimax against the log2-only reference -----------------
+
+
+def recognition_differential_languages():
+    return membership_differential_languages() + [
+        Language.from_forbidden("avoid-1111", ["1111"]),
+        Language.from_forbidden("avoid-0101", ["0101"]),
+        Language.from_forbidden("avoid-1001", ["1001"]),
+        Language.from_forbidden("avoid-0101-1010", ["0101", "1010"]),
+    ]
+
+
+def assert_recognition_matches_reference(lang, n):
+    where = (lang.name, lang.obstructions, n)
+    assert recognition_depth_det(lang, n) == reference_recognition_depth_det(lang, n), where
+    # the pruning must not change which optimal position each node queries
+    assert optimal_recognition_tree(lang, n) == reference_optimal_recognition_tree(lang, n), where
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_recognition_minimax_matches_reference(n):
+    for lang in recognition_differential_languages():
+        assert_recognition_matches_reference(lang, n)
+
+
+@given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_recognition_minimax_matches_reference_on_drawn_antichains(words):
+    lang = Language.from_forbidden("drawn", words)
+    for n in range(1, 11):
+        assert_recognition_matches_reference(lang, n)
+
+
+def slice_sensitivity(words):
+    """Most slice neighbours at Hamming distance 1 that any slice word has."""
+    members = set(words)
+    flip = {"0": "1", "1": "0"}
+    return max(
+        (sum(w[:p] + flip[w[p]] + w[p + 1 :] in members for p in range(len(w))) for w in words),
+        default=0,
+    )
+
+
+@given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_sensitivity_lower_bounds_the_recognition_depths(words):
+    lang = Language.from_forbidden("drawn", words)
+    for n in range(1, 10):
+        sens = slice_sensitivity(lang.slice(n))
+        ra = recognition_depth_nondet(lang, n)
+        rd = recognition_depth_det(lang, n)
+        assert sens <= ra <= rd <= n, (lang.obstructions, n, sens, ra, rd)
 
 
 def test_membership_table_width_is_capped_whatever_max_n():
