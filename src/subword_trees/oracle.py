@@ -2,15 +2,19 @@
 
 Recognition depths come from a memoized minimax over the consistent member
 subsets reachable by splitting queries, and from exact hitting-set search for
-the separating certificates.  Membership depths work on the truth table of
-the slice indicator, one big int with a bit per length-n word: ``md`` is a
-minimax memoized on the restricted subfunction, so partial assignments with
-equal restrictions share one entry, and ``ma`` is the certificate complexity,
-found by one sweep over sets of freed positions.  Single-word membership
-certificates come from a lazy branch and bound over the slice automaton.
-Everything here is exhaustive and exact at desk scale; the caps raise
-``CapExceeded`` rather than silently approximating, and no ``max_n`` lifts
-membership past ``MAX_TABLE_N``.
+the separating certificates.  The minimax stops a subset early once a split
+meets a lower bound: ``ceil(log2 |S|)``, or the sensitivity of S, the most
+Hamming neighbours inside S that one member has (a tree must query each
+position whose flip stays in S; D >= s in the decision-tree literature).
+Membership depths work on the truth table of the slice indicator, one big
+int with a bit per length-n word: ``md`` is a minimax memoized on the
+restricted subfunction, so partial assignments with equal restrictions share
+one entry, and ``ma`` is the certificate complexity, found by one sweep over
+sets of freed positions.  Single-word membership certificates come from a
+lazy branch and bound over the slice automaton.  Everything here is
+exhaustive and exact at desk scale; the caps raise ``CapExceeded`` rather
+than silently approximating, and no ``max_n`` lifts membership past
+``MAX_TABLE_N``.
 """
 
 from __future__ import annotations
@@ -143,7 +147,7 @@ def _recognition_minimax(lang, n, max_n, max_slice):
 
     ``zero_mask[p]`` is the subset of slice indices whose word has a 0 at
     0-based position p, so querying p splits S into ``S & zero_mask[p]`` and
-    the rest.  A subset stops early once it meets its lower bound: first
+    the rest.  The search over S stops once a split meets a lower bound: first
     ``ceil(log2 |S|)``, and, once the first splitting position has missed that,
     the sensitivity of S, the largest number of Hamming neighbours a member
     of S has inside S.  A tree that tells w apart from the rest of S must query
