@@ -24,6 +24,7 @@ from .trees import (
     Leaf,
     QueryStrategy,
     chain,
+    trace_strategy,
 )
 
 
@@ -235,6 +236,20 @@ class BlockRecognitionStrategy(QueryStrategy):
 
 def block_recognition_strategy(lang: Language, n: int) -> BlockRecognitionStrategy:
     return BlockRecognitionStrategy(lang, n)
+
+
+def worst_case_queries(lang: Language, strategy: QueryStrategy, cap: int) -> int | None:
+    """Most queries the strategy asks on one slice word, found by replaying it on
+    every word of the slice; None when the slice has more than ``cap`` words."""
+    if lang.count_slice(strategy.n) > cap:
+        return None
+    worst = 0
+    for w in lang.iter_slice(strategy.n):
+        queried, label = trace_strategy(strategy, w)
+        if label != w:
+            raise AssertionError(f"strategy misrecognized {w!r} for {lang.name}")
+        worst = max(worst, len(queried))
+    return worst
 
 
 def block_certificate(lang: Language, n: int, w: str) -> Certificate:

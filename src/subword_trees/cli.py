@@ -16,14 +16,21 @@ import sys
 
 from . import builders, oracle
 from .dimensions import MEASURES, classify, format_extended
-from .language import BUNDLED_NAMES, Language, LanguageSpecError, bundled_path, load_language
+from .language import (
+    BUNDLED_NAMES,
+    Language,
+    LanguageSpecError,
+    all_words,
+    bundled_path,
+    load_language,
+)
 from .trees import (
     DET,
     NONDET,
     DecisionTree,
     TreeFormatError,
+    chain,
     materialize_strategy,
-    trace_strategy,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
@@ -237,16 +244,7 @@ def _build_tree(args, lang: Language, n: int) -> DecisionTree | dict:
         if n <= MATERIALIZE_LIMIT:
             return materialize_strategy(strategy)
         # too deep to expand: report the measured query bound instead
-        count = lang.count_slice(n)
-        worst = 0
-        words = 0
-        if count <= (args.max_slice or oracle.MAX_SLICE):
-            for w in lang.iter_slice(n):
-                queried, label = trace_strategy(strategy, w)
-                if label != w:
-                    raise AssertionError(f"strategy misrecognized {w!r}")
-                worst = max(worst, len(queried))
-                words += 1
+        worst = builders.worst_case_queries(lang, strategy, args.max_slice or oracle.MAX_SLICE)
         return {
             "algorithm": "paper",
             "problem": "recognition",
@@ -254,16 +252,13 @@ def _build_tree(args, lang: Language, n: int) -> DecisionTree | dict:
             "n": n,
             "block_length": strategy.t,
             "query_budget": strategy.query_budget(),
-            "max_queries_observed": worst,
-            "words_simulated": words,
+            "max_queries_observed": worst or 0,
+            "words_simulated": 0 if worst is None else lang.count_slice(n),
         }
     # membership
     if algorithm == "exact":
         if mode == DET:
             return oracle.optimal_membership_tree(lang, n, args.max_n or oracle.MAX_MEMBERSHIP_N)
-        from .language import all_words
-        from .trees import chain
-
         children = []
         for w in all_words(n):
             cert = oracle.membership_certificate(
@@ -294,9 +289,11 @@ def cmd_build_tree(args) -> int:
 
 def cmd_validate(args) -> int:
     lang = _resolve_language(args.language)
+    n = args.n
+    if n < 1:
+        raise UsageError("-n must be at least 1")
     with open(args.tree, "r", encoding="utf-8") as fh:
         tree = tree_from_json(fh.read())
-    n = args.n
     if args.problem == "recognition":
         violation = validate_recognition(tree, lang, n, args.mode)
     else:

@@ -19,6 +19,10 @@ ALPHABET = "01"
 
 BUNDLED_NAMES = ("L1", "L2", "L3", "L4", "L5")
 
+# closure_to_antichain scans every word up to one letter past the longest
+# generator, so its time grows about fourfold per two more letters
+MAX_GENERATOR_LENGTH = 16
+
 
 class LanguageSpecError(ValueError):
     """A language description document is malformed."""
@@ -67,13 +71,20 @@ def closure_to_antichain(generators: Iterable[str]) -> tuple[str, ...]:
     A minimal obstruction has length at most ``max generator length + 1``: any
     longer non-member contains a proper subword that is already too long to be
     a subsequence of any generator, hence itself a non-member.  The bounded
-    breadth-first scan below is therefore complete.
+    breadth-first scan below is therefore complete.  It is exponential in that
+    length, so generators longer than ``MAX_GENERATOR_LENGTH`` raise
+    ``LanguageSpecError``.
     """
     gens = [require_word(g) for g in generators]
     if not gens:
         return ("",)  # the empty language: even the empty word is forbidden
+    longest = max(len(g) for g in gens)
+    if longest > MAX_GENERATOR_LENGTH:
+        raise LanguageSpecError(
+            f"closure generators are limited to {MAX_GENERATOR_LENGTH} letters, got one of {longest}"
+        )
 
-    limit = max(len(g) for g in gens) + 1
+    limit = longest + 1
 
     def member(w: str) -> bool:
         return any(is_subsequence(w, g) for g in gens)
@@ -144,6 +155,13 @@ class SliceAutomaton:
     counter of obstruction ``f`` when ``f[counter] == b``.  The state is dead as
     soon as one obstruction is fully matched; dead is absorbing, so all dead
     states collapse into one.  A word is a member iff its run ends live.
+
+    Three passes read the transition table: ``count_consistent`` counts forward
+    (``count_words`` is the same pass with no assignment), ``find_consistent``
+    builds the one backward table of states that can still reach the wanted end
+    and walks it to a witness (``exists_consistent`` and ``first_word`` ask it),
+    and ``iter_words`` lists the slice.  Every pass raises ``ValueError`` for a
+    negative length.
     """
 
     DEAD = 0  # state id reserved for the absorbing dead state
@@ -183,30 +201,29 @@ class SliceAutomaton:
                 nxt.append(tid)
             self._trans[sid] = (nxt[0], nxt[1])
 
-    @property
-    def size(self) -> int:
-        return len(self._trans)
-
-    def step(self, sid: int, bit: int) -> int:
-        return self._trans[sid][bit]
-
-    def is_dead(self, sid: int) -> bool:
-        return sid == self.DEAD
-
-    def count_words(self, n: int) -> int:
+    def count_consistent(self, n: int, assignment: dict[int, int] | None = None) -> int:
+        """Members of length ``n`` whose letter at each assigned (1-based) position
+        matches; with no assignment, the size of the slice."""
+        _check_length(n)
+        assignment = assignment or {}
         counts = {self.start: 1} if self.start != self.DEAD else {}
-        for _ in range(n):
+        for pos in range(1, n + 1):
+            forced = assignment.get(pos)
+            bits = (0, 1) if forced is None else (forced,)
             nxt: dict[int, int] = {}
             for sid, c in counts.items():
-                for bit in (0, 1):
+                for bit in bits:
                     t = self._trans[sid][bit]
                     if t != self.DEAD:
                         nxt[t] = nxt.get(t, 0) + c
             counts = nxt
         return sum(counts.values())
 
+    count_words = count_consistent
+
     def iter_words(self, n: int) -> Iterator[str]:
         """Members of length ``n`` in lexicographic order, by dead-state-pruned descent."""
+        _check_length(n)
         if self.start == self.DEAD:
             return
         if n == 0:
@@ -233,101 +250,28 @@ class SliceAutomaton:
                 chars.append(ALPHABET[bit])
                 stack.append([t, 0])
 
-    def _alive_table(self, n: int) -> list[set[int]]:
-        """alive[i] = states at position i (0-based, i letters read) with a live length-n completion."""
-        alive: list[set[int]] = [set() for _ in range(n + 1)]
-        alive[n] = {sid for sid in range(1, len(self._trans))}
-        for i in range(n - 1, -1, -1):
-            nxt = alive[i + 1]
-            alive[i] = {
-                sid
-                for sid in range(1, len(self._trans))
-                if self._trans[sid][0] in nxt or self._trans[sid][1] in nxt
-            }
-        return alive
-
-    def first_word(self, n: int) -> str | None:
-        if self.start == self.DEAD:
-            return None
-        alive = self._alive_table(n)
-        if self.start not in alive[0]:
-            return None
-        out = []
-        sid = self.start
-        for i in range(n):
-            for bit in (0, 1):
-                t = self._trans[sid][bit]
-                if t != self.DEAD and t in alive[i + 1]:
-                    out.append(ALPHABET[bit])
-                    sid = t
-                    break
-        return "".join(out)
-
-    def count_consistent(self, n: int, assignment: dict[int, int]) -> int:
-        """Members of length ``n`` whose letter at each assigned (1-based) position matches."""
-        counts = {self.start: 1} if self.start != self.DEAD else {}
-        for pos in range(1, n + 1):
-            forced = assignment.get(pos)
-            bits = (0, 1) if forced is None else (forced,)
-            nxt: dict[int, int] = {}
-            for sid, c in counts.items():
-                for bit in bits:
-                    t = self._trans[sid][bit]
-                    if t != self.DEAD:
-                        nxt[t] = nxt.get(t, 0) + c
-            counts = nxt
-        return sum(counts.values())
-
-    def exists_consistent(self, n: int, assignment: dict[int, int], member: bool) -> bool:
-        """Is there a length-n word matching ``assignment`` that is a member (or, if
-        ``member`` is false, a non-member)?"""
-        if member:
-            reach = {self.start} - {self.DEAD}
-            for pos in range(1, n + 1):
-                forced = assignment.get(pos)
-                bits = (0, 1) if forced is None else (forced,)
-                reach = {self._trans[sid][bit] for sid in reach for bit in bits}
-                reach.discard(self.DEAD)
-                if not reach:
-                    return False
-            return bool(reach)
-        reach = {self.start}
-        if self.DEAD in reach:
-            return True  # dead is absorbing: any consistent completion is a non-member
-        for pos in range(1, n + 1):
-            forced = assignment.get(pos)
-            bits = (0, 1) if forced is None else (forced,)
-            reach = {self._trans[sid][bit] for sid in reach for bit in bits}
-            if self.DEAD in reach:
-                return True
-        return False
-
     def find_consistent(
         self, n: int, assignment: dict[int, int], member: bool, prefer: str | None = None
     ) -> str | None:
         """A witness word matching ``assignment`` with the requested membership, or None.
 
-        With ``prefer`` set, the search tries that word's letter first at every
-        free position, so the witness agrees with it as long as possible.
+        Without ``prefer`` the witness is the lexicographically least one.  With
+        ``prefer`` set, the search tries that word's letter first at every free
+        position, so the witness agrees with it as long as possible.
         """
-        # backward table: states (incl. dead) from which the target end is reachable
-        size = len(self._trans)
-        ok = [False] * size
-        if member:
-            for sid in range(1, size):
-                ok[sid] = True
-        else:
-            ok[self.DEAD] = True
-        tables = [ok]
+        _check_length(n)
+        trans = self._trans
+        # backward table: states (dead included) from which the target end is reachable
+        ok = [set(range(1, len(trans))) if member else {self.DEAD}]
         for pos in range(n, 0, -1):
+            nxt = ok[-1]
             forced = assignment.get(pos)
-            bits = (0, 1) if forced is None else (forced,)
-            prev = [False] * size
-            for sid in range(size):
-                prev[sid] = any(tables[-1][self._trans[sid][bit]] for bit in bits)
-            tables.append(prev)
-        tables.reverse()  # tables[i] now indexed by letters-read i
-        if not tables[0][self.start]:
+            if forced is None:
+                ok.append({sid for sid, (t0, t1) in enumerate(trans) if t0 in nxt or t1 in nxt})
+            else:
+                ok.append({sid for sid, step in enumerate(trans) if step[forced] in nxt})
+        ok.reverse()  # ok[i] now indexed by letters read
+        if self.start not in ok[0]:
             return None
         out = []
         sid = self.start
@@ -341,12 +285,26 @@ class SliceAutomaton:
             else:
                 order = (0, 1)
             for bit in order:
-                t = self._trans[sid][bit]
-                if tables[pos][t]:
+                t = trans[sid][bit]
+                if t in ok[pos]:
                     out.append(ALPHABET[bit])
                     sid = t
                     break
         return "".join(out)
+
+    def exists_consistent(self, n: int, assignment: dict[int, int], member: bool) -> bool:
+        """Is there a length-n word matching ``assignment`` that is a member (or, if
+        ``member`` is false, a non-member)?"""
+        return self.find_consistent(n, assignment, member) is not None
+
+    def first_word(self, n: int) -> str | None:
+        """Lexicographically least member of length ``n``, or None."""
+        return self.find_consistent(n, {}, member=True)
+
+
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise ValueError(f"slice length must be non-negative, got {n}")
 
 
 def parse_language_spec(text: str) -> Language:

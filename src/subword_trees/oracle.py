@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .dimensions import MEASURES
 from .language import Language
-from .trees import Branch, DecisionTree, Leaf, trace_strategy
-
-MEASURES = ("rd", "ra", "md", "ma")
+from .trees import Branch, DecisionTree, Leaf
 
 MAX_BRUTE_N = 22
 MAX_RECOGNITION_N = 16
@@ -516,24 +515,13 @@ class DepthProfile:
 
 def _constructed_rd(lang: Language, n: int, sim_cap: int) -> int | None:
     """Measured worst-case query count of the block strategy over the slice."""
-    from .builders import BuilderPreconditionError, block_recognition_strategy
+    from .builders import BuilderPreconditionError, block_recognition_strategy, worst_case_queries
 
     try:
         strategy = block_recognition_strategy(lang, n)
     except BuilderPreconditionError:
         return None
-    count = lang.count_slice(n)
-    if count == 0:
-        return 0
-    if count > sim_cap:
-        return None
-    worst = 0
-    for w in lang.iter_slice(n):
-        queried, label = trace_strategy(strategy, w)
-        if label != w:
-            raise AssertionError(f"block strategy misrecognized {w!r} for {lang.name}")
-        worst = max(worst, len(queried))
-    return worst
+    return worst_case_queries(lang, strategy, sim_cap)
 
 
 def depth_profile(

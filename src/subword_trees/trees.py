@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
-from .language import Language
+from .language import Language, all_words
 
 DET = "det"
 NONDET = "nondet"
@@ -219,8 +219,6 @@ def validate_membership(
     tree: DecisionTree, lang: Language, n: int, mode: str = DET
 ) -> Violation | None:
     """Check the membership solving conditions over all 2^n words of length n."""
-    from .language import all_words
-
     return _validate(
         tree,
         n,

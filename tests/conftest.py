@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -18,6 +19,22 @@ def corpus() -> list[Language]:
         Language.from_forbidden("avoid-010-101", ["010", "101"]),
         Language.from_closure("closure-010", ["010"]),
     ]
+
+
+def small_languages() -> list[Language]:
+    """The bundled languages, three corpus avoiders and ten seeded random antichains."""
+    langs = [bundled_language(x) for x in ("L1", "L2", "L3", "L4", "L5")]
+    langs.append(Language.from_forbidden("avoid-11-00", ["11", "00"]))
+    langs.append(Language.from_forbidden("avoid-010-101", ["010", "101"]))
+    langs.append(Language.from_closure("closure-010", ["010"]))
+    rng = random.Random(7)
+    for i in range(10):
+        ws = [
+            "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        langs.append(Language.from_forbidden(f"rand-{i}", ws))
+    return langs
 
 
 @pytest.fixture(scope="session", name="corpus")
@@ -52,8 +69,6 @@ def iter_antichains(max_len: int):
 
 def random_antichains(count: int, max_len: int, seed: int) -> list[tuple[str, ...]]:
     """Seeded random antichains, produced by canonicalizing random word sets."""
-    import random
-
     from subword_trees import canonicalize_antichain
 
     rng = random.Random(seed)

@@ -369,6 +369,15 @@ def test_validate_rejects_bool_and_float_positions_and_bits(tmp_path, capsys, qu
     assert "must be" in err
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_validate_rejects_lengths_below_one(tmp_path, capsys, n):
+    path = tmp_path / "tree.json"
+    path.write_text(tree_to_json(optimal_recognition_tree(bundled_language("L1"), 2)))
+    code, _, err = run(capsys, "validate", str(path), "L1", "-n", n)
+    assert code == 1
+    assert "at least 1" in err
+
+
 def test_validate_malformed_tree_document(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

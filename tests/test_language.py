@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,7 @@ from subword_trees import (
 )
 from subword_trees.oracle import brute_slice
 
-from conftest import words_up_to
+from conftest import small_languages, words_up_to
 
 word_st = hs.text(alphabet="01", max_size=10)
 
@@ -176,6 +177,72 @@ def test_first_slice_word(corpus):
             assert lang.first_slice_word(n) == (words[0] if words else None)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda lang: lang.count_slice(-1),
+        lambda lang: lang.slice(-1),
+        lambda lang: lang.first_slice_word(-1),
+        lambda lang: lang.automaton().count_consistent(-1, {1: 0}),
+        lambda lang: lang.automaton().exists_consistent(-1, {}, member=False),
+        lambda lang: lang.automaton().find_consistent(-1, {}, member=True),
+    ],
+)
+def test_negative_slice_length_is_rejected(call):
+    for obstructions in (["11"], [""]):
+        with pytest.raises(ValueError, match="non-negative"):
+            call(Language.from_forbidden("x", obstructions))
+
+
+# -- automaton passes against a brute filter of all words --------------------
+
+
+def assert_automaton_passes_match_brute(lang):
+    aut = lang.automaton()
+    rng = random.Random(",".join(lang.obstructions))
+    for n in range(0, 9):
+        words = list(all_words(n))
+        is_member = {w: lang.contains(w) for w in words}
+        assert aut.first_word(n) == min((w for w in words if is_member[w]), default=None)
+        assert aut.count_words(n) == sum(is_member.values())
+        for _ in range(6):
+            assignment = {p: rng.randint(0, 1) for p in range(1, n + 1) if rng.random() < 0.4}
+            prefer = rng.choice(words)
+            consistent = [
+                w for w in words if all(int(w[p - 1]) == b for p, b in assignment.items())
+            ]
+            where = (lang.obstructions, n, assignment, prefer)
+            assert aut.count_consistent(n, assignment) == sum(
+                is_member[w] for w in consistent
+            ), where
+            for member in (True, False):
+                matching = [w for w in consistent if is_member[w] == member]
+                assert aut.exists_consistent(n, assignment, member) == bool(matching), where
+                assert aut.find_consistent(n, assignment, member) == min(
+                    matching, default=None
+                ), where
+                # distinct matching words first differ at a free position, where
+                # exactly one of them agrees with prefer: the maximum is unique
+                closest = max(
+                    matching, key=lambda w: [a == b for a, b in zip(w, prefer)], default=None
+                )
+                assert aut.find_consistent(n, assignment, member, prefer=prefer) == closest, where
+
+
+def test_automaton_passes_match_brute_filter():
+    for lang in small_languages() + [
+        Language.from_forbidden("empty", [""]),
+        Language.from_forbidden("full", []),
+    ]:
+        assert_automaton_passes_match_brute(lang)
+
+
+@given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_automaton_passes_match_brute_filter_on_drawn_antichains(words):
+    assert_automaton_passes_match_brute(Language.from_forbidden("drawn", words))
+
+
 # -- document parsing ---------------------------------------------------------
 
 
@@ -198,6 +265,7 @@ def test_parse_closure_document():
         ('{"forbidden":[]}', "name"),
         ("{nonsense", "malformed"),
         ('{"name":"bad","forbidden":"11"}', "list"),
+        ('{"name":"bad","closure_of":["0","01010101010101010"]}', "limited to 16 letters"),
     ],
 )
 def test_parse_errors_are_distinct(doc, fragment):

@@ -39,6 +39,8 @@ from subword_trees.oracle import (
     recognition_depth_nondet,
 )
 
+from conftest import small_languages
+
 
 # -- naive reference oracles ---------------------------------------------------
 # Written independently of the production code paths: plain minimax over
@@ -121,21 +123,6 @@ def naive_h_ma(lang, n):
                 best = max(best, size)
                 break
     return best
-
-
-def small_languages():
-    langs = [bundled_language(x) for x in ("L1", "L2", "L3", "L4", "L5")]
-    langs.append(Language.from_forbidden("avoid-11-00", ["11", "00"]))
-    langs.append(Language.from_forbidden("avoid-010-101", ["010", "101"]))
-    langs.append(Language.from_closure("closure-010", ["010"]))
-    rng = random.Random(7)
-    for i in range(10):
-        ws = [
-            "".join(rng.choice("01") for _ in range(rng.randint(1, 4)))
-            for _ in range(rng.randint(1, 3))
-        ]
-        langs.append(Language.from_forbidden(f"rand-{i}", ws))
-    return langs
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
