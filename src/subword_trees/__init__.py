@@ -10,7 +10,6 @@ and builds/validates the constructive recognition and membership trees.
 from .builders import (
     BlockRecognitionStrategy,
     BuilderPreconditionError,
-    Certificate,
     CertificateError,
     RunDecomposition,
     block_certificate,
@@ -52,6 +51,7 @@ from .oracle import (
     brute_slice,
     depth_profile,
     membership_certificate,
+    membership_certificates,
     membership_depth_det,
     membership_depth_nondet,
     min_hitting_set,

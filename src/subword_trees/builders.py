@@ -28,32 +28,15 @@ from .trees import (
 )
 
 
+MAX_EXACT_DISTINGUISHING = 64  # slice words up to which the distinguishing set is exact
+
+
 class BuilderPreconditionError(ValueError):
     """A builder was invoked outside its stated preconditions."""
 
 
 class CertificateError(ValueError):
     """A certificate map does not cover or separate the slice."""
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """Positions with expected bits that pin one word within its universe."""
-
-    assignments: tuple[tuple[int, int], ...]  # (1-based position, bit), distinct positions
-
-    def __len__(self) -> int:
-        return len(self.assignments)
-
-    def positions(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.assignments)
-
-    def separates(self, other: str) -> bool:
-        return any(int(other[p - 1]) != bit for p, bit in self.assignments)
-
-    @classmethod
-    def for_word(cls, word: str, positions) -> "Certificate":
-        return cls(tuple(sorted((p, int(word[p - 1])) for p in positions)))
 
 
 @dataclass(frozen=True)
@@ -252,8 +235,9 @@ def worst_case_queries(lang: Language, strategy: QueryStrategy, cap: int) -> int
     return worst
 
 
-def block_certificate(lang: Language, n: int, w: str) -> Certificate:
-    """Certificate of at most 7t positions separating ``w`` within its slice.
+def block_certificate(lang: Language, n: int, w: str) -> tuple[int, ...]:
+    """Certificate of at most 7t positions separating ``w`` within its slice,
+    as sorted 1-based positions.
 
     The 4t boundary-block positions always go in.  Depending on which boundary
     block is mixed, one adjacent block (t more positions) suffices; when the
@@ -291,17 +275,19 @@ def block_certificate(lang: Language, n: int, w: str) -> Certificate:
         positions.update(range(lo, hi + 1))
     else:
         raise AssertionError("unreachable: member with both boundary blocks mixed")
-    return Certificate.for_word(w, sorted(positions))
+    return tuple(sorted(positions))
 
 
 def tree_from_certificates(
-    lang: Language, n: int, certs: dict[str, Certificate]
+    lang: Language, n: int, certs: dict[str, tuple[int, ...]]
 ) -> DecisionTree:
     """Nondeterministic recognition tree: one certificate chain per slice word.
 
-    Verifies that the map covers the slice exactly and that every certificate
-    separates its word from every other member; the resulting tree has one root
-    child per word and depth equal to the largest certificate.
+    A certificate is a sorted tuple of 1-based positions; it separates its word
+    from another member when the two differ at one of them.  Verifies that the
+    map covers the slice exactly and that every certificate separates its word
+    from every other member; the resulting tree has one root child per word and
+    depth equal to the largest certificate.
     """
     words = lang.slice(n)
     if set(certs) != set(words):
@@ -312,21 +298,22 @@ def tree_from_certificates(
     for w in words:
         cert = certs[w]
         for u in words:
-            if u != w and not cert.separates(u):
+            if u != w and all(u[p - 1] == w[p - 1] for p in cert):
                 raise CertificateError(
                     f"certificate for {w!r} does not separate it from {u!r}"
                 )
-    children = tuple(chain(w, certs[w].positions(), w) for w in words)
+    children = tuple(chain(w, certs[w], w) for w in words)
     return DecisionTree(children)
 
 
-def distinguishing_set_tree(lang: Language, n: int, exact_limit: int = 64) -> DecisionTree:
+def distinguishing_set_tree(lang: Language, n: int) -> DecisionTree:
     """Deterministic recognition tree reading one fixed distinguishing set.
 
     Picks a smallest position set separating every pair of slice words (exact
-    search up to ``exact_limit`` words, greedy pair cover beyond), then builds
-    the complete tree that queries those positions in increasing order.  Leaves
-    on paths matching no member carry the lexicographically least member.
+    search up to ``MAX_EXACT_DISTINGUISHING`` words, greedy pair cover beyond),
+    then builds the complete tree that queries those positions in increasing
+    order.  Leaves on paths matching no member carry the lexicographically least
+    member.
     """
     from .oracle import greedy_hitting_set, min_hitting_set
 
@@ -339,7 +326,7 @@ def distinguishing_set_tree(lang: Language, n: int, exact_limit: int = 64) -> De
     pair_masks = sorted(
         {ints[i] ^ ints[j] for i in range(len(ints)) for j in range(i + 1, len(ints))}
     )
-    if len(words) <= exact_limit:
+    if len(words) <= MAX_EXACT_DISTINGUISHING:
         chosen = min_hitting_set(pair_masks)
     else:
         chosen = greedy_hitting_set(pair_masks)

@@ -1,8 +1,9 @@
 """Command-line surface: classify, enumerate, depths, build-tree, validate.
 
 Exit codes: 0 ok, 1 usage error, 2 invalid input document, 3 builder
-precondition unmet, 4 validation failure.  Identical inputs always produce
-byte-identical output (fixed orderings, no timestamps).
+precondition unmet or exhaustive-search cap exceeded, 4 validation failure.
+Identical inputs always produce byte-identical output (fixed orderings, no
+timestamps).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .language import (
     BUNDLED_NAMES,
     Language,
     LanguageSpecError,
-    all_words,
     bundled_path,
     load_language,
 )
@@ -231,15 +231,10 @@ def _build_tree(args, lang: Language, n: int) -> DecisionTree | dict:
             certs = oracle.recognition_certificates(
                 lang, n, args.max_n or oracle.MAX_RECOGNITION_N, args.max_slice or oracle.MAX_SLICE
             )
-            cert_map = {
-                w: builders.Certificate.for_word(w, ps) for w, ps in certs.items()
-            }
-            return builders.tree_from_certificates(lang, n, cert_map)
+            return builders.tree_from_certificates(lang, n, certs)
         if mode == NONDET:
-            cert_map = {
-                w: builders.block_certificate(lang, n, w) for w in lang.iter_slice(n)
-            }
-            return builders.tree_from_certificates(lang, n, cert_map)
+            certs = {w: builders.block_certificate(lang, n, w) for w in lang.iter_slice(n)}
+            return builders.tree_from_certificates(lang, n, certs)
         strategy = builders.block_recognition_strategy(lang, n)
         if n <= MATERIALIZE_LIMIT:
             return materialize_strategy(strategy)
@@ -259,13 +254,10 @@ def _build_tree(args, lang: Language, n: int) -> DecisionTree | dict:
     if algorithm == "exact":
         if mode == DET:
             return oracle.optimal_membership_tree(lang, n, args.max_n or oracle.MAX_MEMBERSHIP_N)
-        children = []
-        for w in all_words(n):
-            cert = oracle.membership_certificate(
-                lang, n, w, max_n=args.max_n or oracle.MAX_MEMBERSHIP_N
-            )
-            children.append(chain(w, cert, "1" if lang.contains(w) else "0"))
-        return DecisionTree(tuple(children))
+        certs = oracle.membership_certificates(lang, n, args.max_n or oracle.MAX_MEMBERSHIP_N)
+        return DecisionTree(
+            tuple(chain(w, cert, "1" if lang.contains(w) else "0") for w, cert in certs.items())
+        )
     if mode != DET:
         raise UsageError("--algorithm paper --problem membership supports --mode det only")
     return builders.membership_tree(lang, n)
@@ -292,6 +284,11 @@ def cmd_validate(args) -> int:
     n = args.n
     if n < 1:
         raise UsageError("-n must be at least 1")
+    if args.problem == "membership" and n > oracle.MAX_TABLE_N:
+        # the membership validator walks all 2^n words
+        raise oracle.CapExceeded(
+            f"membership validation capped at n <= {oracle.MAX_TABLE_N}, got {n}"
+        )
     with open(args.tree, "r", encoding="utf-8") as fh:
         tree = tree_from_json(fh.read())
     if args.problem == "recognition":

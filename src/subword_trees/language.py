@@ -156,11 +156,11 @@ class SliceAutomaton:
     soon as one obstruction is fully matched; dead is absorbing, so all dead
     states collapse into one.  A word is a member iff its run ends live.
 
-    Three passes read the transition table: ``count_consistent`` counts forward
-    (``count_words`` is the same pass with no assignment), ``find_consistent``
-    builds the one backward table of states that can still reach the wanted end
-    and walks it to a witness (``exists_consistent`` and ``first_word`` ask it),
-    and ``iter_words`` lists the slice.  Every pass raises ``ValueError`` for a
+    Three passes read the transition table: ``count_words`` counts the slice
+    forward, ``find_consistent`` builds the one backward table of states that
+    can still reach the wanted end and walks it to the lexicographically least
+    witness (``exists_consistent`` and ``first_word`` ask it), and
+    ``iter_words`` lists the slice.  Every pass raises ``ValueError`` for a
     negative length.
     """
 
@@ -201,25 +201,20 @@ class SliceAutomaton:
                 nxt.append(tid)
             self._trans[sid] = (nxt[0], nxt[1])
 
-    def count_consistent(self, n: int, assignment: dict[int, int] | None = None) -> int:
-        """Members of length ``n`` whose letter at each assigned (1-based) position
-        matches; with no assignment, the size of the slice."""
+    def count_words(self, n: int) -> int:
+        """The number of members of length ``n``, by a forward pass."""
         _check_length(n)
-        assignment = assignment or {}
         counts = {self.start: 1} if self.start != self.DEAD else {}
-        for pos in range(1, n + 1):
-            forced = assignment.get(pos)
-            bits = (0, 1) if forced is None else (forced,)
+        for _ in range(n):
             nxt: dict[int, int] = {}
             for sid, c in counts.items():
-                for bit in bits:
-                    t = self._trans[sid][bit]
+                for t in self._trans[sid]:
                     if t != self.DEAD:
                         nxt[t] = nxt.get(t, 0) + c
             counts = nxt
         return sum(counts.values())
 
-    count_words = count_consistent
+    count_consistent = count_words  # perfbench/tracer.py wraps both names
 
     def iter_words(self, n: int) -> Iterator[str]:
         """Members of length ``n`` in lexicographic order, by dead-state-pruned descent."""
@@ -250,15 +245,9 @@ class SliceAutomaton:
                 chars.append(ALPHABET[bit])
                 stack.append([t, 0])
 
-    def find_consistent(
-        self, n: int, assignment: dict[int, int], member: bool, prefer: str | None = None
-    ) -> str | None:
-        """A witness word matching ``assignment`` with the requested membership, or None.
-
-        Without ``prefer`` the witness is the lexicographically least one.  With
-        ``prefer`` set, the search tries that word's letter first at every free
-        position, so the witness agrees with it as long as possible.
-        """
+    def find_consistent(self, n: int, assignment: dict[int, int], member: bool) -> str | None:
+        """The lexicographically least word matching ``assignment`` (1-based
+        positions to bits) with the requested membership, or None."""
         _check_length(n)
         trans = self._trans
         # backward table: states (dead included) from which the target end is reachable
@@ -277,14 +266,7 @@ class SliceAutomaton:
         sid = self.start
         for pos in range(1, n + 1):
             forced = assignment.get(pos)
-            if forced is not None:
-                order = (forced,)
-            elif prefer is not None:
-                first = int(prefer[pos - 1])
-                order = (first, 1 - first)
-            else:
-                order = (0, 1)
-            for bit in order:
+            for bit in (0, 1) if forced is None else (forced,):
                 t = trans[sid][bit]
                 if t in ok[pos]:
                     out.append(ALPHABET[bit])

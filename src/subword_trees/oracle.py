@@ -10,11 +10,11 @@ Membership depths work on the truth table of the slice indicator, one big
 int with a bit per length-n word: ``md`` is a minimax memoized on the
 restricted subfunction, so partial assignments with equal restrictions share
 one entry, and ``ma`` is the certificate complexity, found by one sweep over
-sets of freed positions.  Single-word membership certificates come from a
-lazy branch and bound over the slice automaton.  Everything here is
-exhaustive and exact at desk scale; the caps raise ``CapExceeded`` rather
-than silently approximating, and no ``max_n`` lifts membership past
-``MAX_TABLE_N``.
+sets of freed positions.  Membership certificates for single words come
+from a branch and bound on the same table: its witnesses and counts are the
+opposite class masked to a subcube.  Everything here is exhaustive and exact
+at desk scale; the caps raise ``CapExceeded`` rather than silently
+approximating, and no ``max_n`` lifts membership past ``MAX_TABLE_N``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .dimensions import MEASURES
-from .language import Language
+from .language import Language, require_word
 from .trees import Branch, DecisionTree, Leaf
 
 MAX_BRUTE_N = 22
@@ -71,13 +71,11 @@ def greedy_hitting_set(masks: list[int]) -> int:
     return chosen
 
 
-def min_hitting_set(masks: list[int], upper: int | None = None) -> int:
+def min_hitting_set(masks: list[int]) -> int:
     """Smallest bit set intersecting every mask, by branch and bound.
 
     Branches over the allowed bits of a smallest uncovered mask, excluding
-    already-branched bits on later siblings.  ``upper`` (a bit count) prunes
-    the search when only solutions at most that large matter; the fallback
-    return is then the greedy set.
+    already-branched bits on later siblings; the greedy set is the first bound.
     """
     masks = [m for m in masks if m]
     if not masks:
@@ -91,8 +89,6 @@ def min_hitting_set(masks: list[int], upper: int | None = None) -> int:
     masks = kept
     best = greedy_hitting_set(masks)
     best_size = best.bit_count()
-    if upper is not None and upper < best_size:
-        best_size = upper + 1
 
     def dfs(chosen: int, count: int, excluded: int) -> None:
         nonlocal best, best_size
@@ -388,74 +384,95 @@ def optimal_membership_tree(
     return DecisionTree((build(tuple(range(1, n + 1)), table),))
 
 
-def membership_certificate(
-    lang: Language,
-    n: int,
-    w: str,
-    upper: int | None = None,
-    max_n: int = MAX_MEMBERSHIP_N,
+def _membership_certificate(
+    n: int, table: int, halves: list[tuple[int, int]], x: int
 ) -> tuple[int, ...]:
-    """Exact minimum position set certifying the membership answer for ``w``.
+    """Smallest pinned position set whose subcube through x is constant on ``table``.
 
-    A set works when every word agreeing with ``w`` on it gets the same answer.
-    Branch and bound with lazily generated counterexamples: each node asks the
-    automaton for a word of the opposite class consistent with the positions
-    chosen so far, then must include one of the differing positions.
+    ``halves[j]`` holds the table bits whose index has bit j clear, then set,
+    so pinning index bit j to x's letter keeps the bits of ``keep[j]``.
+    Branch and bound: each node takes a witness of the opposite class in the
+    pinned subcube and branches on the positions where it differs from x,
+    excluding the positions already tried by earlier siblings.  A greedy pass
+    gives the first upper bound.  Position p is index bit n - p, so the
+    positions are visited from the highest index bit down.
+    """
+    opposite = table ^ ((1 << (1 << n)) - 1) if table >> x & 1 else table
+    keep = [half[x >> j & 1] for j, half in enumerate(halves)]
+
+    def witness(cube: int) -> int | None:
+        """``y ^ x`` for a word y of ``cube``, the opposite class within the
+        pinned subcube, or None.
+
+        The first one-letter flip of x in ``cube`` wins (a flip at a pinned
+        position leaves the subcube); failing that, the word that agrees with
+        x longest from position 1, which minimises y ^ x.
+        """
+        for j in range(n - 1, -1, -1):
+            if cube >> (x ^ 1 << j) & 1:
+                return 1 << j
+        if not cube:
+            return None
+        for j in range(n - 1, -1, -1):
+            cube = cube & keep[j] or cube
+        return (cube.bit_length() - 1) ^ x
+
+    def bits(d: int) -> list[int]:
+        return [j for j in range(n - 1, -1, -1) if d >> j & 1]
+
+    # greedy upper bound: repeatedly pin the differing position that leaves
+    # the fewest opposite-class words, the lowest position on ties
+    best, cube = 0, opposite
+    while (d := witness(cube)) is not None:
+        j = min(bits(d), key=lambda j: (cube & keep[j]).bit_count())
+        best |= 1 << j
+        cube &= keep[j]
+
+    def dfs(pinned: int, cube: int, excluded: int) -> None:
+        nonlocal best
+        if pinned.bit_count() >= best.bit_count():
+            return
+        d = witness(cube)
+        if d is None:
+            best = pinned
+            return
+        for j in bits(d & ~excluded):
+            dfs(pinned | 1 << j, cube & keep[j], excluded)
+            excluded |= 1 << j
+
+    dfs(0, opposite, 0)
+    return tuple(n - j for j in bits(best))
+
+
+def _halves(n: int) -> list[tuple[int, int]]:
+    ones = (1 << (1 << n)) - 1
+    return [(m, m ^ ones) for m in _index_masks(n)]
+
+
+def membership_certificates(
+    lang: Language, n: int, max_n: int = MAX_MEMBERSHIP_N
+) -> dict[str, tuple[int, ...]]:
+    """Exact minimum membership certificate for each of the 2^n words, in
+    lexicographic order, all read from one truth table of the slice.
+
+    A certificate for w is a position set such that every word agreeing with
+    w on it gets the same membership answer as w.
     """
     _check_membership_caps(n, max_n)
-    target = lang.contains(w)
-    aut = lang.automaton()
+    table, halves = _truth_table(lang, n), _halves(n)
+    return {
+        format(x, f"0{n}b"): _membership_certificate(n, table, halves, x) for x in range(1 << n)
+    }
 
-    def find_witness(pos_mask: int) -> str | None:
-        assign = {p: int(w[p - 1]) for p in range(1, n + 1) if pos_mask >> (p - 1) & 1}
-        for p in range(1, n + 1):  # cheap near-miss scan first
-            if pos_mask >> (p - 1) & 1:
-                continue
-            flipped = w[: p - 1] + ("1" if w[p - 1] == "0" else "0") + w[p:]
-            if lang.contains(flipped) != target:
-                return flipped
-        return aut.find_consistent(n, assign, member=not target, prefer=w)
 
-    # greedy pass for an upper bound: repeatedly pin the differing position
-    # that leaves the fewest opposite-class words consistent
-    greedy_mask = 0
-    while True:
-        u = find_witness(greedy_mask)
-        if u is None:
-            break
-        candidates = [p for p in range(1, n + 1) if u[p - 1] != w[p - 1]]
-        total = 2 ** (n - greedy_mask.bit_count() - 1)
-
-        def opposite_count(p: int) -> int:
-            mask = greedy_mask | 1 << (p - 1)
-            assign = {q: int(w[q - 1]) for q in range(1, n + 1) if mask >> (q - 1) & 1}
-            members = aut.count_consistent(n, assign)
-            return members if not target else total - members
-
-        greedy_mask |= 1 << (min(candidates, key=opposite_count) - 1)
-
-    best_mask = greedy_mask
-    best_size = greedy_mask.bit_count()
-    if upper is not None and upper < best_size:
-        best_size = upper + 1
-
-    def dfs(pos_mask: int, count: int, excluded: int) -> None:
-        nonlocal best_mask, best_size
-        if count >= best_size:
-            return
-        u = find_witness(pos_mask)
-        if u is None:
-            best_mask, best_size = pos_mask, count
-            return
-        exc = excluded
-        for p in range(1, n + 1):
-            b = 1 << (p - 1)
-            if u[p - 1] != w[p - 1] and not pos_mask & b and not exc & b:
-                dfs(pos_mask | b, count + 1, exc)
-                exc |= b
-
-    dfs(0, 0, 0)
-    return tuple(p for p in range(1, n + 1) if best_mask >> (p - 1) & 1)
+def membership_certificate(
+    lang: Language, n: int, w: str, max_n: int = MAX_MEMBERSHIP_N
+) -> tuple[int, ...]:
+    """Exact minimum position set certifying the membership answer for ``w``."""
+    _check_membership_caps(n, max_n)
+    if len(require_word(w)) != n:
+        raise ValueError(f"expected a word of length {n}, got {w!r}")
+    return _membership_certificate(n, _truth_table(lang, n), _halves(n), int(w, 2))
 
 
 def membership_depth_nondet(lang: Language, n: int, max_n: int = MAX_MEMBERSHIP_N) -> int:
@@ -513,7 +530,7 @@ class DepthProfile:
     rows: list[ProfileRow]
 
 
-def _constructed_rd(lang: Language, n: int, sim_cap: int) -> int | None:
+def _constructed_rd(lang: Language, n: int) -> int | None:
     """Measured worst-case query count of the block strategy over the slice."""
     from .builders import BuilderPreconditionError, block_recognition_strategy, worst_case_queries
 
@@ -521,7 +538,7 @@ def _constructed_rd(lang: Language, n: int, sim_cap: int) -> int | None:
         strategy = block_recognition_strategy(lang, n)
     except BuilderPreconditionError:
         return None
-    return worst_case_queries(lang, strategy, sim_cap)
+    return worst_case_queries(lang, strategy, MAX_SLICE)
 
 
 def depth_profile(
@@ -533,7 +550,6 @@ def depth_profile(
     max_recognition_n: int = MAX_RECOGNITION_N,
     max_slice: int = MAX_SLICE,
     max_membership_n: int = MAX_MEMBERSHIP_N,
-    sim_cap: int = MAX_SLICE,
 ) -> DepthProfile:
     """Per-n table of the four depth measures with per-cell provenance.
 
@@ -566,7 +582,7 @@ def depth_profile(
                 values[m], sources[m] = v, EXACT
             except CapExceeded:
                 if m == "rd" and allow_constructed:
-                    v = _constructed_rd(lang, n, sim_cap)
+                    v = _constructed_rd(lang, n)
                     if v is None:
                         values[m], sources[m] = None, SKIPPED
                     else:

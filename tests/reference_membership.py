@@ -3,19 +3,19 @@
 These are the partial-assignment searches that ``subword_trees.oracle`` used
 before it moved to truth tables: a minimax memoized on (assigned, values)
 position masks that asks the slice automaton for consistent members and
-non-members at every node, and a certificate-complexity scan over all 2^n
-words built from exact hitting sets.  They are slow and independent of the
-truth-table code, which is what makes them useful as ground truth.
+non-members at every node; a single-word certificate branch and bound whose
+witnesses and counts come from a brute filter of all 2^n words; and a
+certificate-complexity scan over all 2^n words built from exact hitting sets
+and that branch and bound.  They are slow and independent of the truth-table
+code, which is what makes them useful as ground truth.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from subword_trees.language import Language
-from subword_trees.oracle import (
-    greedy_hitting_set,
-    membership_certificate,
-    min_hitting_set,
-)
+from subword_trees.oracle import brute_slice, greedy_hitting_set, min_hitting_set
 from subword_trees.trees import Branch, DecisionTree, Leaf
 
 
@@ -75,10 +75,72 @@ def reference_optimal_membership_tree(lang: Language, n: int) -> DecisionTree:
     return DecisionTree((build(0, 0),))
 
 
+@lru_cache(maxsize=64)
+def _brute_members(lang: Language, n: int) -> frozenset[int]:
+    return frozenset(int(u, 2) for u in brute_slice(lang, n, max_n=n))
+
+
+def reference_membership_certificate(lang: Language, n: int, w: str) -> tuple[int, ...]:
+    """Exact minimum position set certifying the membership answer for ``w``.
+
+    A set works when every word agreeing with ``w`` on it gets the same answer.
+    Branch and bound with lazily found counterexamples: each node takes a word
+    of the opposite class consistent with the positions chosen so far, then
+    must include one of the differing positions.  A counterexample is the
+    first free one-letter flip of ``w`` in the opposite class, else the
+    consistent opposite-class word that agrees with ``w`` longest, reading
+    from position 1.  Position sets are ints with bit p - 1 for position p.
+    """
+    members = _brute_members(lang, n)
+    x = int(w, 2)
+    target = x in members
+    opposite = [y for y in range(1 << n) if (y in members) != target]
+
+    def consistent(pos_mask: int) -> list[int]:
+        pinned = sum(1 << (n - p) for p in range(1, n + 1) if pos_mask >> (p - 1) & 1)
+        return [y for y in opposite if not (y ^ x) & pinned]
+
+    def find_witness(pos_mask: int) -> str | None:
+        for p in range(1, n + 1):  # cheap near-miss scan first
+            if not pos_mask >> (p - 1) & 1 and ((x ^ 1 << (n - p)) in members) != target:
+                return w[: p - 1] + ("1" if w[p - 1] == "0" else "0") + w[p:]
+        matching = [format(y, f"0{n}b") for y in consistent(pos_mask)]
+        return max(matching, key=lambda u: [a == b for a, b in zip(u, w)], default=None)
+
+    # greedy pass for an upper bound: repeatedly pin the differing position
+    # that leaves the fewest opposite-class words consistent
+    greedy_mask = 0
+    while (u := find_witness(greedy_mask)) is not None:
+        candidates = [p for p in range(1, n + 1) if u[p - 1] != w[p - 1]]
+        p = min(candidates, key=lambda p: len(consistent(greedy_mask | 1 << (p - 1))))
+        greedy_mask |= 1 << (p - 1)
+
+    best_mask = greedy_mask
+    best_size = greedy_mask.bit_count()
+
+    def dfs(pos_mask: int, count: int, excluded: int) -> None:
+        nonlocal best_mask, best_size
+        if count >= best_size:
+            return
+        u = find_witness(pos_mask)
+        if u is None:
+            best_mask, best_size = pos_mask, count
+            return
+        exc = excluded
+        for p in range(1, n + 1):
+            b = 1 << (p - 1)
+            if u[p - 1] != w[p - 1] and not pos_mask & b and not exc & b:
+                dfs(pos_mask | b, count + 1, exc)
+                exc |= b
+
+    dfs(0, 0, 0)
+    return tuple(p for p in range(1, n + 1) if best_mask >> (p - 1) & 1)
+
+
 def reference_membership_depth_nondet(lang: Language, n: int) -> int:
     """Largest over all 2^n words of the minimum certificate size.
 
-    Members go through the lazy branch-and-bound of ``membership_certificate``;
+    Members go through ``reference_membership_certificate``;
     non-members reduce to a hitting set over their difference masks against
     the member list when that list is small, and fall back to the lazy search
     otherwise.
@@ -93,7 +155,7 @@ def reference_membership_depth_nondet(lang: Language, n: int) -> int:
     for w in members:
         if best == n:
             return best
-        best = max(best, len(membership_certificate(lang, n, w, max_n=n)))
+        best = max(best, len(reference_membership_certificate(lang, n, w)))
     member_set = set(member_ints)
     use_masks = len(members) <= 1024
     for x in range(1 << n):
@@ -108,5 +170,5 @@ def reference_membership_depth_nondet(lang: Language, n: int) -> int:
             best = max(best, min_hitting_set(masks).bit_count())
         else:
             w = format(x, f"0{n}b")
-            best = max(best, len(membership_certificate(lang, n, w, max_n=n)))
+            best = max(best, len(reference_membership_certificate(lang, n, w)))
     return best

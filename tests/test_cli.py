@@ -378,6 +378,16 @@ def test_validate_rejects_lengths_below_one(tmp_path, capsys, n):
     assert "at least 1" in err
 
 
+@pytest.mark.parametrize("n", ["21", "40"])
+def test_validate_membership_past_table_width_is_exit_3(tmp_path, capsys, n):
+    # the membership validator walks all 2^n words, so n is capped before the walk
+    path = tmp_path / "leaf.json"
+    path.write_text('{"children": [{"leaf": "1"}]}')
+    code, _, err = run(capsys, "validate", str(path), "L2", "-n", n, "--problem", "membership")
+    assert code == 3
+    assert "capped at n <= 20" in err
+
+
 def test_validate_malformed_tree_document(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

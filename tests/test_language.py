@@ -183,7 +183,7 @@ def test_first_slice_word(corpus):
         lambda lang: lang.count_slice(-1),
         lambda lang: lang.slice(-1),
         lambda lang: lang.first_slice_word(-1),
-        lambda lang: lang.automaton().count_consistent(-1, {1: 0}),
+        lambda lang: lang.automaton().count_consistent(-1),
         lambda lang: lang.automaton().exists_consistent(-1, {}, member=False),
         lambda lang: lang.automaton().find_consistent(-1, {}, member=True),
     ],
@@ -207,26 +207,16 @@ def assert_automaton_passes_match_brute(lang):
         assert aut.count_words(n) == sum(is_member.values())
         for _ in range(6):
             assignment = {p: rng.randint(0, 1) for p in range(1, n + 1) if rng.random() < 0.4}
-            prefer = rng.choice(words)
             consistent = [
                 w for w in words if all(int(w[p - 1]) == b for p, b in assignment.items())
             ]
-            where = (lang.obstructions, n, assignment, prefer)
-            assert aut.count_consistent(n, assignment) == sum(
-                is_member[w] for w in consistent
-            ), where
+            where = (lang.obstructions, n, assignment)
             for member in (True, False):
                 matching = [w for w in consistent if is_member[w] == member]
                 assert aut.exists_consistent(n, assignment, member) == bool(matching), where
                 assert aut.find_consistent(n, assignment, member) == min(
                     matching, default=None
                 ), where
-                # distinct matching words first differ at a free position, where
-                # exactly one of them agrees with prefer: the maximum is unique
-                closest = max(
-                    matching, key=lambda w: [a == b for a, b in zip(w, prefer)], default=None
-                )
-                assert aut.find_consistent(n, assignment, member, prefer=prefer) == closest, where
 
 
 def test_automaton_passes_match_brute_filter():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 from reference_membership import (
+    reference_membership_certificate,
     reference_membership_depth_det,
     reference_membership_depth_nondet,
     reference_optimal_membership_tree,
@@ -29,6 +30,7 @@ from subword_trees.oracle import (
     depth_profile,
     greedy_hitting_set,
     membership_certificate,
+    membership_certificates,
     membership_depth_det,
     membership_depth_nondet,
     min_hitting_set,
@@ -169,6 +171,38 @@ def test_membership_oracles_match_reference_on_drawn_antichains(words):
     lang = Language.from_forbidden("drawn", words)
     for n in range(1, 9):
         assert_membership_matches_reference(lang, n)
+
+
+def assert_membership_certificates_match_reference(lang, n):
+    certs = membership_certificates(lang, n)
+    assert list(certs) == [format(x, f"0{n}b") for x in range(1 << n)]
+    for w, cert in certs.items():
+        assert cert == reference_membership_certificate(lang, n, w), (lang.obstructions, n, w)
+    for w in list(certs)[:: max(1, len(certs) // 4)]:
+        assert membership_certificate(lang, n, w) == certs[w], (lang.obstructions, n, w)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_membership_certificates_match_reference(n):
+    for lang in membership_differential_languages() + [
+        Language.from_forbidden("empty", [""]),
+        Language.from_forbidden("full", []),
+    ]:
+        assert_membership_certificates_match_reference(lang, n)
+
+
+@given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_membership_certificates_match_reference_on_drawn_antichains(words):
+    lang = Language.from_forbidden("drawn", words)
+    for n in range(1, 9):
+        assert_membership_certificates_match_reference(lang, n)
+
+
+@pytest.mark.parametrize("w", ["00", "0000", "0a1"])
+def test_membership_certificate_rejects_malformed_words(w):
+    with pytest.raises(ValueError):
+        membership_certificate(bundled_language("L1"), 3, w)
 
 
 # -- pruned recognition minimax against the log2-only reference -----------------
