@@ -23,6 +23,7 @@ from .trees import (
     Finish,
     Leaf,
     QueryStrategy,
+    StrategyError,
     chain,
     trace_strategy,
 )
@@ -115,8 +116,14 @@ class BlockRecognitionStrategy(QueryStrategy):
     t letters on each side of a mixed block.  Worst case
     ``t*ceil(log2(n/t)) + 7t`` queries.
 
-    State is the transcript of (position, bit) answers; every decision is
-    recomputed from it, so states are plain immutable values.
+    The strategy reads in rounds: the four boundary blocks, a third block, one
+    search block, or the window around a mixed block.  A state is the immutable
+    tuple ``(answers, todo, step, label)``: the ``(position, bit)`` answers so
+    far, the positions still to ask in this round, what the round decides once
+    it is read (``("fill", letter)``, ``("probe", a, abar, lo, hi, r)`` or
+    ``("window", a, abar, lo_w)``; None for the boundary round), and the label.
+    The strategy has finished when ``todo`` is empty.  ``next_action`` reads
+    the state in O(1); ``advance`` runs the decision once per round.
     """
 
     def __init__(self, lang: Language, n: int):
@@ -133,12 +140,11 @@ class BlockRecognitionStrategy(QueryStrategy):
         # whole t-blocks over the interior; the division remainder is absorbed
         # into the final block, which may be up to 2t-1 letters long
         self.block_count = (n - 4 * t) // t
-        self._lead = list(range(1, 2 * t + 1))  # first two blocks
-        self._trail = list(range(n - 2 * t + 1, n + 1))  # last two blocks
-        self._inner_left = list(range(t + 1, 2 * t + 1))
-        self._inner_right = list(range(n - 2 * t + 1, n - t + 1))
-        self._third_left = list(range(2 * t + 1, 3 * t + 1))
-        self._third_right = list(range(n - 3 * t + 1, n - 2 * t + 1))
+        # the first two blocks, then the last two: answers[t:2t] is the inner
+        # left block and answers[2t:3t] the inner right one
+        self._edges = tuple(range(1, 2 * t + 1)) + tuple(range(n - 2 * t + 1, n + 1))
+        self._third_left = tuple(range(2 * t + 1, 3 * t + 1))
+        self._third_right = tuple(range(n - 3 * t + 1, n - 2 * t + 1))
         self.fallback = lang.first_slice_word(n)
 
     def block_span(self, idx: int) -> tuple[int, int]:
@@ -152,69 +158,82 @@ class BlockRecognitionStrategy(QueryStrategy):
 
     # -- decision logic -----------------------------------------------------
 
-    def next_action(self, state):
+    def initial_state(self):
         if self.fallback is None:
-            return Finish(None)  # empty slice: nothing to recognize
-        ans = dict(state)
-        for p in self._lead + self._trail:
-            if p not in ans:
-                return Ask(p)
-        left = [ans[p] for p in self._inner_left]
-        right = [ans[p] for p in self._inner_right]
-        left_pure = len(set(left)) == 1
-        right_pure = len(set(right)) == 1
-        if left_pure and right_pure and left[0] == right[0]:
-            return self._finish(ans, fill_letter=left[0], fill_until=self.mid_end)
-        if left_pure and not right_pure:
-            for p in self._third_right:
-                if p not in ans:
-                    return Ask(p)
-            return self._finish(ans, fill_letter=left[0], fill_until=self.mid_end)
-        if not left_pure and right_pure:
-            for p in self._third_left:
-                if p not in ans:
-                    return Ask(p)
-            return self._finish(ans, fill_letter=right[0], fill_until=self.mid_end)
-        if not left_pure and not right_pure:
+            return ((), (), None, None)  # empty slice: nothing to recognize
+        return ((), self._edges, None, None)
+
+    def next_action(self, state):
+        todo = state[1]
+        if todo:
+            return Ask(todo[0])
+        return Finish(state[3])
+
+    def advance(self, state, position: int, bit: int):
+        answers, todo, step, _ = state
+        if not todo or todo[0] != position:
+            raise StrategyError(f"advance at position {position} does not answer the strategy's query")
+        answers = answers + ((position, bit),)
+        if len(todo) > 1:
+            return (answers, todo[1:], step, None)
+        return self._decide(answers, step)
+
+    def _decide(self, answers, step):
+        """The state after a round: the next round to read, or the label."""
+        t = self.t
+        if step is None:  # the boundary blocks
+            left = {bit for _, bit in answers[t : 2 * t]}
+            right = {bit for _, bit in answers[2 * t : 3 * t]}
+            if len(left) == 1 and len(right) == 1:
+                a, abar = left.pop(), right.pop()
+                if a == abar:
+                    return self._finish(answers, fill_letter=a, fill_until=self.mid_end)
+                return self._probe(answers, a, abar, 0, self.block_count - 1)
+            if len(left) == 1:
+                return (answers, self._third_right, ("fill", left.pop()), None)
+            if len(right) == 1:
+                return (answers, self._third_left, ("fill", right.pop()), None)
             # impossible for a member: both boundary blocks cannot meet the
             # short middle fragment at once
-            return Finish(self.fallback)
-        a, abar = left[0], right[0]
-        lo, hi = 0, self.block_count - 1
-        while lo <= hi:
+            return (answers, (), None, self.fallback)
+        if step[0] == "fill":
+            return self._finish(answers, fill_letter=step[1], fill_until=self.mid_end)
+        if step[0] == "window":
+            _, a, abar, lo_w = step
+            return self._finish(answers, fill_letter=a, fill_until=lo_w - 1, rest=abar)
+        _, a, abar, lo, hi, r = step
+        start, end = self.block_span(r)
+        vals = {bit for _, bit in answers[-(end - start + 1) :]}  # the block just read
+        if vals == {a}:
+            return self._probe(answers, a, abar, r + 1, hi)
+        if vals == {abar}:
+            return self._probe(answers, a, abar, lo, r - 1)
+        lo_w = max(self.mid_start, start - self.t)
+        hi_w = min(self.mid_end, end + self.t)
+        asked = {p for p, _ in answers}  # earlier rounds may have read part of the window
+        todo = tuple(p for p in range(lo_w, hi_w + 1) if p not in asked)
+        step = ("window", a, abar, lo_w)
+        return (answers, todo, step, None) if todo else self._decide(answers, step)
+
+    def _probe(self, answers, a: int, abar: int, lo: int, hi: int):
+        """Read the middle block of ``lo..hi``, or finish once the search is empty."""
+        if lo <= hi:
             r = lo + (hi - lo) // 2
             start, end = self.block_span(r)
-            for p in range(start, end + 1):
-                if p not in ans:
-                    return Ask(p)
-            vals = {ans[p] for p in range(start, end + 1)}
-            if vals == {a}:
-                lo = r + 1
-            elif vals == {abar}:
-                hi = r - 1
-            else:
-                lo_w = max(self.mid_start, start - self.t)
-                hi_w = min(self.mid_end, end + self.t)
-                for p in range(lo_w, hi_w + 1):
-                    if p not in ans:
-                        return Ask(p)
-                return self._finish(ans, fill_letter=a, fill_until=lo_w - 1, rest=abar)
-        if hi >= 0:
-            boundary = self.block_span(hi)[1]
-        else:
-            boundary = self.mid_start - 1
-        return self._finish(ans, fill_letter=a, fill_until=boundary, rest=abar)
+            return (answers, tuple(range(start, end + 1)), ("probe", a, abar, lo, hi, r), None)
+        boundary = self.block_span(hi)[1] if hi >= 0 else self.mid_start - 1
+        return self._finish(answers, fill_letter=a, fill_until=boundary, rest=abar)
 
-    def _finish(self, ans: dict[int, int], fill_letter: int, fill_until: int, rest: int | None = None):
+    def _finish(self, answers, fill_letter: int, fill_until: int, rest: int | None = None):
         chars = [ALPHABET[rest] if rest is not None else "?"] * self.n
         if fill_until >= 1:
             chars[:fill_until] = ALPHABET[fill_letter] * fill_until
-        for p, bit in ans.items():
+        for p, bit in answers:
             chars[p - 1] = ALPHABET[bit]
         word = "".join(chars)
         if "?" in word or not self.lang.contains(word):
-            return Finish(self.fallback)  # answers match no member
-        return Finish(word)
+            word = self.fallback  # answers match no member
+        return (answers, (), None, word)
 
 
 def block_recognition_strategy(lang: Language, n: int) -> BlockRecognitionStrategy:
@@ -295,10 +314,13 @@ def tree_from_certificates(
         extra = sorted(set(certs) - set(words))[:1]
         detail = f"missing {missing[0]!r}" if missing else f"not in slice: {extra[0]!r}"
         raise CertificateError(f"certificate map does not match the slice ({detail})")
-    for w in words:
-        cert = certs[w]
-        for u in words:
-            if u != w and all(u[p - 1] == w[p - 1] for p in cert):
+    ints = [int(w or "0", 2) for w in words]  # position p is bit n - p
+    for w, x in zip(words, ints):
+        mask = 0
+        for p in certs[w]:
+            mask |= 1 << (n - p)
+        for u, y in zip(words, ints):
+            if not (x ^ y) & mask and y != x:
                 raise CertificateError(
                     f"certificate for {w!r} does not separate it from {u!r}"
                 )

@@ -1,7 +1,9 @@
 """Command-line surface: classify, enumerate, depths, build-tree, validate.
 
 Exit codes: 0 ok, 1 usage error, 2 invalid input document, 3 builder
-precondition unmet or exhaustive-search cap exceeded, 4 validation failure.
+precondition unmet or exhaustive-search cap exceeded (``validate`` too: past
+n = 20 for membership, past slices of 4096 words for recognition), 4
+validation failure.
 Identical inputs always produce byte-identical output (fixed orderings, no
 timestamps).
 """
@@ -288,6 +290,12 @@ def cmd_validate(args) -> int:
         # the membership validator walks all 2^n words
         raise oracle.CapExceeded(
             f"membership validation capped at n <= {oracle.MAX_TABLE_N}, got {n}"
+        )
+    if args.problem == "recognition" and lang.count_slice(n) > oracle.MAX_SLICE:
+        # the recognition validator walks the whole slice
+        raise oracle.CapExceeded(
+            f"recognition validation capped at slices of <= {oracle.MAX_SLICE} words, "
+            f"got {lang.name}({n})"
         )
     with open(args.tree, "r", encoding="utf-8") as fh:
         tree = tree_from_json(fh.read())

@@ -156,12 +156,14 @@ class SliceAutomaton:
     soon as one obstruction is fully matched; dead is absorbing, so all dead
     states collapse into one.  A word is a member iff its run ends live.
 
-    Three passes read the transition table: ``count_words`` counts the slice
-    forward, ``find_consistent`` builds the one backward table of states that
-    can still reach the wanted end and walks it to the lexicographically least
-    witness (``exists_consistent`` and ``first_word`` ask it), and
-    ``iter_words`` lists the slice.  Every pass raises ``ValueError`` for a
-    negative length.
+    Every edge either loops or advances a counter, so a run never returns to a
+    state it has left.  Three passes read the transition table:
+    ``count_words`` counts the slice forward; ``_backward`` builds the one
+    backward table of states that can still reach the wanted end, which
+    ``find_consistent`` walks to the lexicographically least witness
+    (``exists_consistent`` and ``first_word`` ask it); and ``iter_words``
+    lists the slice one letter run at a time, pruned by that table.  Every
+    pass raises ``ValueError`` for a negative length.
     """
 
     DEAD = 0  # state id reserved for the absorbing dead state
@@ -217,40 +219,64 @@ class SliceAutomaton:
     count_consistent = count_words  # perfbench/tracer.py wraps both names
 
     def iter_words(self, n: int) -> Iterator[str]:
-        """Members of length ``n`` in lexicographic order, by dead-state-pruned descent."""
+        """Members of length ``n`` in lexicographic order, one letter run at a time.
+
+        Every live state other than the obstruction-free start has at most one
+        looping letter, and every other edge advances a counter.  From a state
+        looping on ``a`` with ``k`` letters left, the members are ``a^k`` and,
+        for each ``j``, ``a^j b`` followed by the members of the ``b``-successor
+        of length ``k - j - 1``; a successor is entered only where the backward
+        table says it is live.  Frames nest once per advancing edge, so the
+        stack depth is bounded by the automaton, not by ``n``.
+        """
         _check_length(n)
         if self.start == self.DEAD:
             return
-        if n == 0:
-            yield ""
+        if self._trans[self.start] == (self.start, self.start):  # no obstructions
+            yield from all_words(n)
             return
-        # explicit stack: one [state, next bit to try] frame per chosen prefix letter
-        chars: list[str] = []
-        stack: list[list[int]] = [[self.start, 0]]
+        live = self._backward(n, {}, member=True)
+        stack = [self._runs(self.start, n, "", live)]
         while stack:
-            frame = stack[-1]
-            if frame[1] > 1:
-                stack.pop()
-                if chars:
-                    chars.pop()
-                continue
-            bit = frame[1]
-            frame[1] += 1
-            t = self._trans[frame[0]][bit]
-            if t == self.DEAD:
-                continue
-            if len(stack) == n:
-                yield "".join(chars) + ALPHABET[bit]
+            for item in stack[-1]:
+                if type(item) is str:
+                    yield item
+                else:
+                    stack.append(self._runs(*item, live))
+                    break
             else:
-                chars.append(ALPHABET[bit])
-                stack.append([t, 0])
+                stack.pop()
 
-    def find_consistent(self, n: int, assignment: dict[int, int], member: bool) -> str | None:
-        """The lexicographically least word matching ``assignment`` (1-based
-        positions to bits) with the requested membership, or None."""
-        _check_length(n)
+    def _runs(self, sid: int, k: int, prefix: str, live: list[set[int]]):
+        """Members below ``prefix`` in lexicographic order, from state ``sid``
+        with ``k`` letters left: finished words, and ``(state, letters left,
+        prefix)`` frames for ``iter_words`` to expand in place."""
+        t0, t1 = self._trans[sid]
+        if t0 == sid:  # 0-loop: 0^k is least, then longer 0-runs before shorter
+            yield prefix + "0" * k
+            if t1 != self.DEAD:
+                for j in range(k - 1, -1, -1):
+                    if t1 in live[k - j - 1]:
+                        yield (t1, k - j - 1, prefix + "0" * j + "1")
+        elif t1 == sid:  # 1-loop: every 1^j 0 branch precedes 1^k
+            if t0 != self.DEAD:
+                for j in range(k):
+                    if t0 in live[k - j - 1]:
+                        yield (t0, k - j - 1, prefix + "1" * j + "0")
+            yield prefix + "1" * k
+        elif k == 0:
+            yield prefix
+        else:
+            for letter, t in zip(ALPHABET, (t0, t1)):
+                if t in live[k - 1]:
+                    yield (t, k - 1, prefix + letter)
+
+    def _backward(self, n: int, assignment: dict[int, int], member: bool) -> list[set[int]]:
+        """The backward table: entry ``m`` holds the states (dead included) from
+        which the last ``m`` letters, read under ``assignment`` (1-based
+        positions to bits), reach a member end, or a non-member end if
+        ``member`` is false."""
         trans = self._trans
-        # backward table: states (dead included) from which the target end is reachable
         ok = [set(range(1, len(trans))) if member else {self.DEAD}]
         for pos in range(n, 0, -1):
             nxt = ok[-1]
@@ -259,16 +285,23 @@ class SliceAutomaton:
                 ok.append({sid for sid, (t0, t1) in enumerate(trans) if t0 in nxt or t1 in nxt})
             else:
                 ok.append({sid for sid, step in enumerate(trans) if step[forced] in nxt})
-        ok.reverse()  # ok[i] now indexed by letters read
-        if self.start not in ok[0]:
+        return ok
+
+    def find_consistent(self, n: int, assignment: dict[int, int], member: bool) -> str | None:
+        """The lexicographically least word matching ``assignment`` (1-based
+        positions to bits) with the requested membership, or None."""
+        _check_length(n)
+        ok = self._backward(n, assignment, member)
+        if self.start not in ok[n]:
             return None
+        trans = self._trans
         out = []
         sid = self.start
         for pos in range(1, n + 1):
             forced = assignment.get(pos)
             for bit in (0, 1) if forced is None else (forced,):
                 t = trans[sid][bit]
-                if t in ok[pos]:
+                if t in ok[n - pos]:
                     out.append(ALPHABET[bit])
                     sid = t
                     break

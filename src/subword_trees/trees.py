@@ -249,8 +249,10 @@ class QueryStrategy:
     """Value-state recognizer protocol.
 
     Subclasses expose ``n`` and implement ``next_action(state)`` returning
-    ``Ask`` or ``Finish``; states are immutable values advanced by
-    ``advance(state, bit)``.
+    ``Ask`` or ``Finish``.  States are immutable values: ``advance(state,
+    position, bit)`` returns the state after the asked ``position`` was
+    answered with ``bit``, so one state can be advanced along both bits.  By
+    default a state is the transcript of ``(position, bit)`` answers.
     """
 
     n: int
@@ -261,11 +263,8 @@ class QueryStrategy:
     def next_action(self, state):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def advance(self, state, bit: int):
-        act = self.next_action(state)
-        if not isinstance(act, Ask):
-            raise StrategyError("advance called on a finished strategy")
-        return state + ((act.position, bit),)
+    def advance(self, state, position: int, bit: int):
+        return state + ((position, bit),)
 
 
 def trace_strategy(
@@ -293,7 +292,7 @@ def trace_strategy(
         if len(queried) >= budget:
             raise StrategyError(f"query budget {budget} exceeded at position {act.position}")
         queried.append(act.position)
-        state = state + ((act.position, int(w[act.position - 1])),)
+        state = strategy.advance(state, act.position, int(w[act.position - 1]))
 
 
 def materialize_strategy(strategy: QueryStrategy) -> DecisionTree:
@@ -313,7 +312,7 @@ def materialize_strategy(strategy: QueryStrategy) -> DecisionTree:
             return Leaf(act.label)
         return Branch(
             act.position,
-            tuple((bit, expand(state + ((act.position, bit),))) for bit in (0, 1)),
+            tuple((bit, expand(strategy.advance(state, act.position, bit))) for bit in (0, 1)),
         )
 
     return DecisionTree((expand(strategy.initial_state()),))
@@ -324,15 +323,44 @@ def materialize_strategy(strategy: QueryStrategy) -> DecisionTree:
 
 
 def tree_to_json(tree: DecisionTree) -> str:
-    def encode(node: Node) -> dict:
-        if isinstance(node, Leaf):
-            return {"leaf": node.label}
-        return {
-            "query": node.position,
-            "edges": [{"bit": bit, "child": encode(child)} for bit, child in node.edges],
-        }
+    """The tree document, byte for byte as ``json.dumps(doc, indent=2)`` writes it.
 
-    return json.dumps({"children": [encode(c) for c in tree.root_children]}, indent=2)
+    CPython's C encoder does not indent, so the layout is written here
+    directly; labels are escaped by ``json.dumps``.
+    """
+    parts: list[str] = []
+    put = parts.append
+
+    def items(nodes, pad: str, write) -> None:
+        """A JSON list whose items open at ``pad`` (a newline plus indentation)."""
+        if not nodes:
+            put("[]")
+            return
+        put("[")
+        for i, node in enumerate(nodes):
+            put(pad if i == 0 else "," + pad)
+            write(node, pad)
+        put(pad[:-2] + "]")
+
+    def node(nd: Node, pad: str) -> None:
+        inner = pad + "  "
+        if isinstance(nd, Leaf):
+            put(f'{{{inner}"leaf": {json.dumps(nd.label)}{pad}}}')
+            return
+        put(f'{{{inner}"query": {nd.position},{inner}"edges": ')
+        items(nd.edges, inner + "  ", edge)
+        put(pad + "}")
+
+    def edge(e: tuple[int, Node], pad: str) -> None:
+        inner = pad + "  "
+        put(f'{{{inner}"bit": {e[0]},{inner}"child": ')
+        node(e[1], inner)
+        put(pad + "}")
+
+    put('{\n  "children": ')
+    items(tree.root_children, "\n    ", node)
+    put("\n}")
+    return "".join(parts)
 
 
 def tree_from_json(text: str) -> DecisionTree:

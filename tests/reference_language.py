@@ -1,0 +1,44 @@
+"""Reference slice enumerator for differential tests.
+
+This is the enumerator that ``SliceAutomaton.iter_words`` used before it
+moved to one letter run at a time: a depth-first descent over the transition
+table with one explicit stack frame per prefix letter, pruned only at the dead
+state, joining every word from scratch.  It walks O(n * |L(n)|) trie nodes,
+which is what makes it a simple, independent check.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+from subword_trees.language import ALPHABET, SliceAutomaton
+
+
+def reference_iter_words(aut: SliceAutomaton, n: int) -> Iterator[str]:
+    """Members of length ``n`` in lexicographic order."""
+    trans = aut._trans
+    if aut.start == aut.DEAD:
+        return
+    if n == 0:
+        yield ""
+        return
+    # explicit stack: one [state, next bit to try] frame per chosen prefix letter
+    chars: list[str] = []
+    stack: list[list[int]] = [[aut.start, 0]]
+    while stack:
+        frame = stack[-1]
+        if frame[1] > 1:
+            stack.pop()
+            if chars:
+                chars.pop()
+            continue
+        bit = frame[1]
+        frame[1] += 1
+        t = trans[frame[0]][bit]
+        if t == aut.DEAD:
+            continue
+        if len(stack) == n:
+            yield "".join(chars) + ALPHABET[bit]
+        else:
+            chars.append(ALPHABET[bit])
+            stack.append([t, 0])

@@ -1,0 +1,96 @@
+"""Reference block recognition strategy for differential tests.
+
+This is ``BlockRecognitionStrategy`` as it was before its state carried the
+round being read: the state is the plain transcript of ``(position, bit)``
+answers, and every ``next_action`` rebuilds the answer map and reruns the
+whole decision, binary search included, from it.  The production strategy
+must ask the same positions in the same order and announce the same label.
+"""
+
+from __future__ import annotations
+
+from subword_trees.builders import block_length
+from subword_trees.language import ALPHABET, Language
+from subword_trees.trees import Ask, Finish, QueryStrategy
+
+
+class ReferenceBlockStrategy(QueryStrategy):
+    def __init__(self, lang: Language, n: int):
+        t = block_length(lang)
+        self.lang = lang
+        self.n = n
+        self.t = t
+        self.mid_start = 2 * t + 1
+        self.mid_end = n - 2 * t
+        self.block_count = (n - 4 * t) // t
+        self._lead = list(range(1, 2 * t + 1))
+        self._trail = list(range(n - 2 * t + 1, n + 1))
+        self._inner_left = list(range(t + 1, 2 * t + 1))
+        self._inner_right = list(range(n - 2 * t + 1, n - t + 1))
+        self._third_left = list(range(2 * t + 1, 3 * t + 1))
+        self._third_right = list(range(n - 3 * t + 1, n - 2 * t + 1))
+        self.fallback = lang.first_slice_word(n)
+
+    def block_span(self, idx: int) -> tuple[int, int]:
+        start = self.mid_start + idx * self.t
+        end = self.mid_end if idx == self.block_count - 1 else start + self.t - 1
+        return start, end
+
+    def next_action(self, state):
+        if self.fallback is None:
+            return Finish(None)
+        ans = dict(state)
+        for p in self._lead + self._trail:
+            if p not in ans:
+                return Ask(p)
+        left = [ans[p] for p in self._inner_left]
+        right = [ans[p] for p in self._inner_right]
+        left_pure = len(set(left)) == 1
+        right_pure = len(set(right)) == 1
+        if left_pure and right_pure and left[0] == right[0]:
+            return self._finish(ans, left[0], self.mid_end)
+        if left_pure and not right_pure:
+            for p in self._third_right:
+                if p not in ans:
+                    return Ask(p)
+            return self._finish(ans, left[0], self.mid_end)
+        if not left_pure and right_pure:
+            for p in self._third_left:
+                if p not in ans:
+                    return Ask(p)
+            return self._finish(ans, right[0], self.mid_end)
+        if not left_pure and not right_pure:
+            return Finish(self.fallback)
+        a, abar = left[0], right[0]
+        lo, hi = 0, self.block_count - 1
+        while lo <= hi:
+            r = lo + (hi - lo) // 2
+            start, end = self.block_span(r)
+            for p in range(start, end + 1):
+                if p not in ans:
+                    return Ask(p)
+            vals = {ans[p] for p in range(start, end + 1)}
+            if vals == {a}:
+                lo = r + 1
+            elif vals == {abar}:
+                hi = r - 1
+            else:
+                lo_w = max(self.mid_start, start - self.t)
+                hi_w = min(self.mid_end, end + self.t)
+                for p in range(lo_w, hi_w + 1):
+                    if p not in ans:
+                        return Ask(p)
+                return self._finish(ans, a, lo_w - 1, rest=abar)
+        boundary = self.block_span(hi)[1] if hi >= 0 else self.mid_start - 1
+        return self._finish(ans, a, boundary, rest=abar)
+
+    def _finish(self, ans, fill_letter, fill_until, rest=None):
+        chars = [ALPHABET[rest] if rest is not None else "?"] * self.n
+        if fill_until >= 1:
+            chars[:fill_until] = ALPHABET[fill_letter] * fill_until
+        for p, bit in ans.items():
+            chars[p - 1] = ALPHABET[bit]
+        word = "".join(chars)
+        if "?" in word or not self.lang.contains(word):
+            return Finish(self.fallback)
+        return Finish(word)

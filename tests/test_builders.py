@@ -7,6 +7,7 @@ from subword_trees import (
     BuilderPreconditionError,
     CertificateError,
     Language,
+    StrategyError,
     block_certificate,
     block_length,
     block_recognition_strategy,
@@ -29,7 +30,11 @@ from subword_trees.oracle import (
     recognition_depth_nondet,
 )
 
-from conftest import iter_antichains
+from hypothesis import given, settings
+from hypothesis import strategies as hs
+
+from conftest import iter_antichains, small_languages
+from reference_strategy import ReferenceBlockStrategy
 
 
 def finite_hom_corpus(corpus):
@@ -172,6 +177,50 @@ def test_strategy_large_n():
     L3 = bundled_language("L3")
     worst = run_strategy_over_slice(L3, 1000, cap=10**9)
     assert worst <= math.ceil(math.log2(1000)) + 7
+
+
+def assert_strategy_matches_reference(lang):
+    if homogeneity_dimension(lang) == INFINITY:
+        return
+    t = block_length(lang)
+    rng = random.Random(",".join(lang.obstructions))
+    for n in sorted({10 * t, 10 * t + 1, 10 * t + 3, 12 * t + 5, 40} - set(range(10 * t))):
+        strategy = block_recognition_strategy(lang, n)
+        reference = ReferenceBlockStrategy(lang, n)
+        words = list(lang.iter_slice(n))
+        words += ["".join(rng.choice("01") for _ in range(n)) for _ in range(50)]
+        for w in words:
+            assert trace_strategy(strategy, w) == trace_strategy(reference, w), (lang.name, n, w)
+        if n <= 12:
+            assert materialize_strategy(strategy) == materialize_strategy(reference), (lang.name, n)
+
+
+def test_strategy_matches_reference():
+    for lang in small_languages() + [
+        stress_language(),
+        Language.from_forbidden("avoid-001-010-0111", ["001", "010", "0111"]),
+        Language.from_forbidden("avoid-001-0000-0111", ["001", "0000", "0111"]),
+    ]:
+        assert_strategy_matches_reference(lang)
+
+
+@given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_strategy_matches_reference_on_drawn_antichains(words):
+    assert_strategy_matches_reference(Language.from_forbidden("drawn", words))
+
+
+def test_strategy_advance_answers_only_the_asked_position():
+    strategy = block_recognition_strategy(bundled_language("L3"), 10)
+    state = strategy.initial_state()
+    with pytest.raises(StrategyError):
+        strategy.advance(state, 5, 0)  # position 1 is asked first
+    finished = strategy.advance(state, 1, 0)
+    for p in (2, 9, 10):
+        finished = strategy.advance(finished, p, 0)
+    assert strategy.next_action(finished).label == "0" * 10
+    with pytest.raises(StrategyError):
+        strategy.advance(finished, 3, 0)
 
 
 def test_materialized_strategies_validate(corpus):

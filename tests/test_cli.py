@@ -388,6 +388,17 @@ def test_validate_membership_past_table_width_is_exit_3(tmp_path, capsys, n):
     assert "capped at n <= 20" in err
 
 
+@pytest.mark.parametrize("n, code", [("12", 4), ("13", 3), ("40", 3)])
+def test_validate_recognition_past_slice_cap_is_exit_3(tmp_path, capsys, n, code):
+    # the recognition validator walks the whole slice, so its size is capped
+    # before the walk: |L2(12)| = 4096 is still walked (and the leaf fails)
+    path = tmp_path / "leaf.json"
+    path.write_text('{"children": [{"leaf": "1"}]}')
+    rc, _, err = run(capsys, "validate", str(path), "L2", "-n", n)
+    assert rc == code
+    assert ("slices of <= 4096 words" in err) == (code == 3)
+
+
 def test_validate_malformed_tree_document(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

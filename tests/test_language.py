@@ -8,6 +8,7 @@ from hypothesis import strategies as hs
 from subword_trees import (
     Language,
     LanguageSpecError,
+    SliceAutomaton,
     all_words,
     bundled_language,
     canonicalize_antichain,
@@ -18,6 +19,7 @@ from subword_trees import (
 from subword_trees.oracle import brute_slice
 
 from conftest import small_languages, words_up_to
+from reference_language import reference_iter_words
 
 word_st = hs.text(alphabet="01", max_size=10)
 
@@ -231,6 +233,76 @@ def test_automaton_passes_match_brute_filter():
 @settings(max_examples=25, deadline=None)
 def test_automaton_passes_match_brute_filter_on_drawn_antichains(words):
     assert_automaton_passes_match_brute(Language.from_forbidden("drawn", words))
+
+
+# -- run-length enumeration against the trie walk ----------------------------
+
+# lengths checked against the reference enumerator; slices above the word cap
+# are skipped, since the reference walks every trie node
+ENUM_LENGTHS = list(range(0, 17)) + [23, 40, 41, 64, 100, 127, 200]
+ENUM_WORD_CAP = 4096
+
+
+def assert_iter_words_match_reference(lang, lengths=ENUM_LENGTHS):
+    aut = lang.automaton()
+    for n in lengths:
+        if aut.count_words(n) > ENUM_WORD_CAP:
+            continue
+        assert list(aut.iter_words(n)) == list(reference_iter_words(aut, n)), (lang.obstructions, n)
+
+
+def test_iter_words_match_reference():
+    for lang in small_languages() + [
+        Language.from_forbidden("avoid-001-010-0111", ["001", "010", "0111"]),
+        Language.from_forbidden("avoid-001-0000-0111", ["001", "0000", "0111"]),
+        Language.from_forbidden("empty", [""]),
+    ]:
+        assert_iter_words_match_reference(lang)
+    assert_iter_words_match_reference(Language.from_forbidden("full", []), range(0, 13))
+
+
+@given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_iter_words_match_reference_on_drawn_antichains(words):
+    assert_iter_words_match_reference(Language.from_forbidden("drawn", words))
+
+
+def test_iter_words_opens_only_frames_that_lead_to_words(monkeypatch):
+    # the backward table keeps the enumerator linear in its output: every
+    # frame it opens leads to a word, and a word lies below one frame per
+    # advancing edge of its run plus the root frame.  Without the table,
+    # Avoid{10,11} at n = 200 opens a frame for each of the 200 0-runs and
+    # only two of them lead to a word.
+    opened = []
+    runs = SliceAutomaton._runs
+
+    def counting_runs(self, *args):
+        opened.append(args[:2])
+        return runs(self, *args)
+
+    monkeypatch.setattr(SliceAutomaton, "_runs", counting_runs)
+    for lang in small_languages() + [
+        Language.from_forbidden("avoid-10-11", ["10", "11"]),
+        Language.from_forbidden("avoid-00-01", ["00", "01"]),
+        Language.from_forbidden("avoid-00-01-10-11", ["00", "01", "10", "11"]),
+        Language.from_forbidden("avoid-001-0000-0111", ["001", "0000", "0111"]),
+    ]:
+        depth = 1 + sum(len(f) for f in lang.obstructions)
+        for n in (0, 1, 5, 40, 200):
+            if lang.count_slice(n) > ENUM_WORD_CAP:
+                continue
+            opened.clear()
+            words = sum(1 for _ in lang.iter_slice(n))
+            assert len(opened) <= max(words, 1) * depth, (lang.obstructions, n, words, len(opened))
+
+
+def test_iter_words_long_slice_needs_no_deep_recursion():
+    n = 5000
+    count = 0
+    for j, w in enumerate(bundled_language("L3").iter_slice(n)):
+        assert w == "0" * (n - j) + "1" * j
+        count += 1
+    assert count == n + 1
 
 
 # -- document parsing ---------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from subword_trees import (
@@ -13,13 +15,18 @@ from subword_trees import (
     bundled_language,
     materialize_strategy,
     trace_strategy,
+    tree_from_certificates,
     tree_from_json,
     tree_to_dot,
     tree_to_json,
     validate_membership,
     validate_recognition,
 )
-from subword_trees.oracle import optimal_recognition_tree
+from subword_trees.oracle import (
+    optimal_membership_tree,
+    optimal_recognition_tree,
+    recognition_certificates,
+)
 
 
 def leaf_chain(word, positions, label):
@@ -229,8 +236,6 @@ def test_json_round_trip():
 
 def test_json_format_shape():
     tree = DecisionTree((Branch(2, ((0, Leaf("00")), (1, Leaf("01")))),))
-    import json
-
     doc = json.loads(tree_to_json(tree))
     assert doc == {
         "children": [
@@ -243,6 +248,40 @@ def test_json_format_shape():
             }
         ]
     }
+
+
+def reference_tree_json(tree):
+    """The document through the standard library's indented encoder."""
+
+    def encode(node):
+        if isinstance(node, Leaf):
+            return {"leaf": node.label}
+        return {
+            "query": node.position,
+            "edges": [{"bit": bit, "child": encode(child)} for bit, child in node.edges],
+        }
+
+    return json.dumps({"children": [encode(c) for c in tree.root_children]}, indent=2)
+
+
+def json_trees():
+    L1, L3 = bundled_language("L1"), bundled_language("L3")
+    return [
+        DecisionTree(()),
+        DecisionTree((Leaf("0110"),)),
+        DecisionTree((Leaf('a"b\\c\n\u00e9\u2603'),)),  # needs escaping
+        DecisionTree((Branch(1, ()), Leaf("1"))),
+        tree_from_certificates(L3, 5, recognition_certificates(L3, 5)),
+        optimal_recognition_tree(L3, 6),
+        optimal_recognition_tree(bundled_language("L2"), 4),
+        optimal_membership_tree(L1, 7),
+    ]
+
+
+@pytest.mark.parametrize("index", range(8))
+def test_tree_to_json_matches_indented_json_dumps(index):
+    tree = json_trees()[index]
+    assert tree_to_json(tree) == reference_tree_json(tree)
 
 
 def test_json_empty_tree():
