@@ -172,7 +172,9 @@ class BlockRecognitionStrategy(QueryStrategy):
     def advance(self, state, position: int, bit: int):
         answers, todo, step, _ = state
         if not todo or todo[0] != position:
-            raise StrategyError(f"advance at position {position} does not answer the strategy's query")
+            raise StrategyError(
+                f"advance at position {position} does not answer the strategy's query"
+            )
         answers = answers + ((position, bit),)
         if len(todo) > 1:
             return (answers, todo[1:], step, None)

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from subword_trees import (
     BuilderPreconditionError,
@@ -29,9 +31,6 @@ from subword_trees.oracle import (
     recognition_depth_det,
     recognition_depth_nondet,
 )
-
-from hypothesis import given, settings
-from hypothesis import strategies as hs
 
 from conftest import iter_antichains, small_languages
 from reference_strategy import ReferenceBlockStrategy
