@@ -25,7 +25,6 @@ from .trees import (
     QueryStrategy,
     StrategyError,
     chain,
-    trace_strategy,
 )
 
 
@@ -243,16 +242,40 @@ def block_recognition_strategy(lang: Language, n: int) -> BlockRecognitionStrate
 
 
 def worst_case_queries(lang: Language, strategy: QueryStrategy, cap: int) -> int | None:
-    """Most queries the strategy asks on one slice word, found by replaying it on
-    every word of the slice; None when the slice has more than ``cap`` words."""
-    if lang.count_slice(strategy.n) > cap:
+    """Most queries the strategy asks on one slice word; None when the slice
+    has more than ``cap`` words.
+
+    The strategy is played as a tree over the slice: each node carries the
+    slice words whose answers lead to it and splits them by the letter at the
+    asked position, so ``next_action`` and ``advance`` run once per distinct
+    answer transcript, not once per word.  Raises ``AssertionError`` naming
+    the least word the strategy misrecognizes, and ``StrategyError`` when it
+    asks more than one query per letter.
+    """
+    n = strategy.n
+    if lang.count_slice(n) > cap:
         return None
     worst = 0
-    for w in lang.iter_slice(strategy.n):
-        queried, label = trace_strategy(strategy, w)
-        if label != w:
-            raise AssertionError(f"strategy misrecognized {w!r} for {lang.name}")
-        worst = max(worst, len(queried))
+    wrong: list[str] = []
+    stack = [(strategy.initial_state(), lang.slice(n), 0)]
+    while stack:
+        state, words, depth = stack.pop()
+        act = strategy.next_action(state)
+        if isinstance(act, Finish):
+            wrong.extend(w for w in words if w != act.label)
+            worst = max(worst, depth)
+            continue
+        if depth >= n:
+            raise StrategyError(f"query budget {n} exceeded at position {act.position}")
+        i = act.position - 1
+        split: tuple[list[str], list[str]] = ([], [])
+        for w in words:
+            split[w[i] == "1"].append(w)
+        for bit, part in enumerate(split):
+            if part:
+                stack.append((strategy.advance(state, act.position, bit), part, depth + 1))
+    if wrong:
+        raise AssertionError(f"strategy misrecognized {min(wrong)!r} for {lang.name}")
     return worst
 
 

@@ -157,13 +157,14 @@ class SliceAutomaton:
     states collapse into one.  A word is a member iff its run ends live.
 
     Every edge either loops or advances a counter, so a run never returns to a
-    state it has left.  Three passes read the transition table:
+    state it has left.  Four passes read the transition table:
     ``count_words`` counts the slice forward; ``_backward`` builds the one
     backward table of states that can still reach the wanted end, which
     ``find_consistent`` walks to the lexicographically least witness
-    (``exists_consistent`` and ``first_word`` ask it); and ``iter_words``
-    lists the slice one letter run at a time, pruned by that table.  Every
-    pass raises ``ValueError`` for a negative length.
+    (``exists_consistent`` and ``first_word`` ask it); ``iter_words`` lists
+    the slice one letter run at a time, pruned by that table; and
+    ``truth_table`` builds the slice indicator bottom up, one table per state
+    and length.  Every pass raises ``ValueError`` for a negative length.
     """
 
     DEAD = 0  # state id reserved for the absorbing dead state
@@ -307,6 +308,20 @@ class SliceAutomaton:
                     break
         return "".join(out)
 
+    def truth_table(self, n: int) -> int:
+        """The slice indicator as a 2^n-bit int: bit x is set iff the word
+        ``format(x, f"0{n}b")`` is a member, so position p is index bit n - p.
+
+        The table of the words of length k read from state q is the table of
+        its 0-successor for length k - 1, then that of its 1-successor shifted
+        past it: ``T_q(k) = T_{q0}(k - 1) | T_{q1}(k - 1) << 2^(k - 1)``.
+        """
+        _check_length(n)
+        rows = [0] + [1] * (len(self._trans) - 1)  # length 0: every live state accepts
+        for k in range(n):
+            rows = [rows[t0] | rows[t1] << (1 << k) for t0, t1 in self._trans]
+        return rows[self.start]
+
     def exists_consistent(self, n: int, assignment: dict[int, int], member: bool) -> bool:
         """Is there a length-n word matching ``assignment`` that is a member (or, if
         ``member`` is false, a non-member)?"""
@@ -315,6 +330,22 @@ class SliceAutomaton:
     def first_word(self, n: int) -> str | None:
         """Lexicographically least member of length ``n``, or None."""
         return self.find_consistent(n, {}, member=True)
+
+
+@lru_cache(maxsize=None)  # one entry per table width
+def index_masks(k: int) -> tuple[int, ...]:
+    """masks[j]: the bits of a 2^k-bit table whose index has bit j clear.
+
+    Mask j is a run of 2^j ones every 2^(j+1) bits; it is built by doubling
+    the period-long pattern until it spans the table.
+    """
+    masks = []
+    for j in range(k):
+        m = (1 << (1 << j)) - 1
+        for s in range(j + 1, k):
+            m |= m << (1 << s)
+        masks.append(m)
+    return tuple(masks)
 
 
 def _check_length(n: int) -> None:

@@ -20,10 +20,9 @@ approximating, and no ``max_n`` lifts membership past ``MAX_TABLE_N``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .dimensions import MEASURES
-from .language import Language, require_word
+from .language import Language, index_masks, require_word
 from .trees import Branch, DecisionTree, Leaf
 
 MAX_BRUTE_N = 22
@@ -288,21 +287,6 @@ def _check_membership_caps(n, max_n):
         raise CapExceeded(f"membership oracle capped at 1 <= n <= {cap}, got {n}")
 
 
-def _truth_table(lang: Language, n: int) -> int:
-    table = bytearray(max(1, (1 << n) >> 3))
-    for w in lang.iter_slice(n):
-        x = int(w, 2)
-        table[x >> 3] |= 1 << (x & 7)
-    return int.from_bytes(table, "little")
-
-
-@lru_cache(maxsize=None)  # one entry per table width k <= MAX_TABLE_N
-def _index_masks(k: int) -> tuple[int, ...]:
-    """masks[j]: the bits of a 2^k-bit table whose index has bit j clear."""
-    ones = (1 << (1 << k)) - 1
-    return tuple(((1 << (1 << j)) - 1) * (ones // ((1 << (2 << j)) - 1)) for j in range(k))
-
-
 def _cofactor(t: int, masks: tuple[int, ...], j: int, bit: int) -> int:
     """The subtable of ``t`` with index bit j fixed to ``bit``, over the other bits.
 
@@ -336,7 +320,7 @@ def _membership_minimax(lang: Language, n: int, max_n: int):
         cached = memo.get(key)
         if cached is not None:
             return cached
-        masks = _index_masks(k)
+        masks = index_masks(k)
         best = None
         for i in range(k):
             j = k - 1 - i
@@ -354,7 +338,7 @@ def _membership_minimax(lang: Language, n: int, max_n: int):
         memo[key] = best
         return best
 
-    table = _truth_table(lang, n)
+    table = lang.automaton().truth_table(n)
     return table, h(n, table), choices
 
 
@@ -375,7 +359,7 @@ def optimal_membership_tree(
         if i is None:  # only constant subfunctions have no choice
             return Leaf("1" if t else "0")
         j = k - 1 - i
-        masks = _index_masks(k)
+        masks = index_masks(k)
         rest = free[:i] + free[i + 1 :]
         return Branch(
             free[i], tuple((bit, build(rest, _cofactor(t, masks, j, bit))) for bit in (0, 1))
@@ -446,7 +430,7 @@ def _membership_certificate(
 
 def _halves(n: int) -> list[tuple[int, int]]:
     ones = (1 << (1 << n)) - 1
-    return [(m, m ^ ones) for m in _index_masks(n)]
+    return [(m, m ^ ones) for m in index_masks(n)]
 
 
 def membership_certificates(
@@ -459,7 +443,7 @@ def membership_certificates(
     w on it gets the same membership answer as w.
     """
     _check_membership_caps(n, max_n)
-    table, halves = _truth_table(lang, n), _halves(n)
+    table, halves = lang.automaton().truth_table(n), _halves(n)
     return {
         format(x, f"0{n}b"): _membership_certificate(n, table, halves, x) for x in range(1 << n)
     }
@@ -472,7 +456,7 @@ def membership_certificate(
     _check_membership_caps(n, max_n)
     if len(require_word(w)) != n:
         raise ValueError(f"expected a word of length {n}, got {w!r}")
-    return _membership_certificate(n, _truth_table(lang, n), _halves(n), int(w, 2))
+    return _membership_certificate(n, lang.automaton().truth_table(n), _halves(n), int(w, 2))
 
 
 def membership_depth_nondet(lang: Language, n: int, max_n: int = MAX_MEMBERSHIP_N) -> int:
@@ -487,11 +471,11 @@ def membership_depth_nondet(lang: Language, n: int, max_n: int = MAX_MEMBERSHIP_
     n - max{l : every input is covered by some set of l freed positions}.
     """
     _check_membership_caps(n, max_n)
-    table = _truth_table(lang, n)
+    table = lang.automaton().truth_table(n)
     ones = (1 << (1 << n)) - 1
     if table == 0 or table == ones:
         return 0  # the answer is constant
-    masks = _index_masks(n)
+    masks = index_masks(n)
     covered_by_size = [0] * (n + 1)
 
     def sweep(start: int, size: int, all_in: int, any_in: int) -> None:

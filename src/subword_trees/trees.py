@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
-from .language import Language, all_words
+from .language import Language, index_masks
 
 DET = "det"
 NONDET = "nondet"
@@ -147,15 +147,43 @@ def _matching_leaves(children: tuple[Node, ...], w: str) -> Iterator[Leaf]:
                     stack.append(child)
 
 
+def _word_violation(children: tuple[Node, ...], w: str, want: str) -> Violation | None:
+    """The violation ``w`` alone shows: a path accepting it that ends with a
+    label other than ``want`` (the first one found), or no path accepting it."""
+    seen = False
+    for leaf in _matching_leaves(children, w):
+        seen = True
+        if leaf.label != want:
+            return Violation(
+                BULLET_CONSISTENCY,
+                f"a path accepting {w!r} ends with label {leaf.label!r}, expected {want!r}",
+                witness=w,
+            )
+    if not seen:
+        return Violation(BULLET_COVERAGE, f"no complete path accepts {w!r}", witness=w)
+    return None
+
+
 def _validate(
     tree: DecisionTree,
     n: int,
     mode: str,
-    universe: Iterator[str],
-    label_of: Callable[[str], str],
-    label_ok: Callable[[str], bool],
-    empty_universe_ok: bool,
+    size: int,
+    splits: list[tuple[int, int]],
+    rejects: Callable[[str], int | None],
+    word_of: Callable[[int], tuple[str, str]],
 ) -> Violation | None:
+    """Check the solving conditions over a universe of ``size`` words.
+
+    A word set is an int whose bit i stands for the i-th universe word.
+    ``splits[p - 1]`` holds the sets of words reading 0 and 1 at position p;
+    ``rejects`` maps an admissible label to the set of words that want another
+    label (None for an inadmissible label); ``word_of(i)`` is the i-th word
+    and the label it wants.  The tree is walked once, each node carrying the
+    words that satisfy its path.  The witness is the first universe word that
+    reaches a wrongly labelled leaf or no leaf, and the violation is read off
+    by replaying that word alone, as a word-by-word scan would report it.
+    """
     if mode not in (DET, NONDET):
         raise ValueError(f"mode must be {DET!r} or {NONDET!r}, got {mode!r}")
     _check_positions(tree, n)
@@ -165,32 +193,35 @@ def _validate(
             return bad
     if not tree.root_children:
         # distinguished empty tree: valid only when there is nothing to solve
-        if empty_universe_ok:
+        if size == 0:
             return None
         return Violation(BULLET_COVERAGE, "empty tree but the problem has words to solve")
     for node in tree.iter_nodes():
-        if isinstance(node, Leaf) and not label_ok(node.label):
+        if isinstance(node, Leaf) and rejects(node.label) is None:
             return Violation(
                 BULLET_LEAF_LABELS,
                 f"terminal label {node.label!r} is not admissible",
                 witness=node.label,
             )
-    for w in universe:
-        want = label_of(w)
-        seen = False
-        for leaf in _matching_leaves(tree.root_children, w):
-            seen = True
-            if leaf.label != want:
-                return Violation(
-                    BULLET_CONSISTENCY,
-                    f"a path accepting {w!r} ends with label {leaf.label!r}, expected {want!r}",
-                    witness=w,
-                )
-        if not seen:
-            return Violation(
-                BULLET_COVERAGE, f"no complete path accepts {w!r}", witness=w
-            )
-    return None
+    everything = (1 << size) - 1
+    covered = wrong = 0
+    stack = [(child, everything) for child in tree.root_children]
+    while stack:
+        node, words = stack.pop()
+        if isinstance(node, Leaf):
+            covered |= words
+            wrong |= words & rejects(node.label)
+            continue
+        split = splits[node.position - 1]
+        for bit, child in node.edges:
+            reach = words & split[bit]
+            if reach:
+                stack.append((child, reach))
+    offenders = wrong | (everything ^ covered)
+    if not offenders:
+        return None
+    w, want = word_of((offenders & -offenders).bit_length() - 1)
+    return _word_violation(tree.root_children, w, want)
 
 
 def validate_recognition(
@@ -201,33 +232,44 @@ def validate_recognition(
     Passes (returns None) iff every terminal label is a member of the slice,
     every slice word is accepted by some complete path, and every path
     accepting a slice word ends with exactly that word.  ``det`` mode adds the
-    structural single-root-child and distinct-edge-bits requirements.
+    structural single-root-child and distinct-edge-bits requirements.  The
+    universe is the slice in lexicographic order.
     """
-    members = set(lang.slice(n))
-    return _validate(
-        tree,
-        n,
-        mode,
-        iter(sorted(members)),
-        label_of=lambda w: w,
-        label_ok=lambda lab: lab in members,
-        empty_universe_ok=not members,
-    )
+    words = lang.slice(n)
+    index = {w: i for i, w in enumerate(words)}
+    letters = "".join(words)  # column p - 1 of the word matrix is letters[p - 1::n]
+    everything = (1 << len(words)) - 1
+    splits = []
+    for p in range(n):
+        ones = int(letters[p::n][::-1] or "0", 2)  # word 0 is the lowest bit
+        splits.append((ones ^ everything, ones))
+
+    def rejects(label: str) -> int | None:
+        i = index.get(label)
+        return None if i is None else everything ^ (1 << i)
+
+    return _validate(tree, n, mode, len(words), splits, rejects, lambda i: (words[i], words[i]))
 
 
 def validate_membership(
     tree: DecisionTree, lang: Language, n: int, mode: str = DET
 ) -> Violation | None:
-    """Check the membership solving conditions over all 2^n words of length n."""
-    return _validate(
-        tree,
-        n,
-        mode,
-        all_words(n),
-        label_of=lambda w: "1" if lang.contains(w) else "0",
-        label_ok=lambda lab: lab in ("0", "1"),
-        empty_universe_ok=False,  # the universe 2^n is never empty for n >= 0
-    )
+    """Check the membership solving conditions over all 2^n words of length n.
+
+    Word x of the universe is ``format(x, f"0{n}b")``, so the word sets are
+    read off the slice truth table and its index masks.
+    """
+    table = lang.automaton().truth_table(n)
+    everything = (1 << (1 << n)) - 1
+    rejects = {"0": table, "1": everything ^ table}
+    masks = index_masks(n)  # position p is index bit n - p
+    splits = [(masks[n - p], masks[n - p] ^ everything) for p in range(1, n + 1)]
+
+    def word_of(x: int) -> tuple[str, str]:
+        word = format(x, f"0{n}b") if n else ""
+        return word, "1" if table >> x & 1 else "0"
+
+    return _validate(tree, n, mode, 1 << n, splits, rejects.get, word_of)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,33 @@ moved to one letter run at a time: a depth-first descent over the transition
 table with one explicit stack frame per prefix letter, pruned only at the dead
 state, joining every word from scratch.  It walks O(n * |L(n)|) trie nodes,
 which is what makes it a simple, independent check.
+
+``string_truth_table`` and ``division_index_masks`` are how the membership
+oracle built its truth table and index masks before ``SliceAutomaton`` took
+them over: the table from the slice's word strings, the masks from one
+big-int division each.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from subword_trees.language import ALPHABET, SliceAutomaton
+from subword_trees.language import ALPHABET, Language, SliceAutomaton
+
+
+def string_truth_table(lang: Language, n: int) -> int:
+    """Bit x is set iff ``format(x, f"0{n}b")`` is a member."""
+    table = bytearray(max(1, (1 << n) >> 3))
+    for w in lang.iter_slice(n):
+        x = int(w or "0", 2)
+        table[x >> 3] |= 1 << (x & 7)
+    return int.from_bytes(table, "little")
+
+
+def division_index_masks(k: int) -> tuple[int, ...]:
+    """masks[j]: the bits of a 2^k-bit table whose index has bit j clear."""
+    ones = (1 << (1 << k)) - 1
+    return tuple(((1 << (1 << j)) - 1) * (ones // ((1 << (2 << j)) - 1)) for j in range(k))
 
 
 def reference_iter_words(aut: SliceAutomaton, n: int) -> Iterator[str]:

@@ -5,13 +5,29 @@ round being read: the state is the plain transcript of ``(position, bit)``
 answers, and every ``next_action`` rebuilds the answer map and reruns the
 whole decision, binary search included, from it.  The production strategy
 must ask the same positions in the same order and announce the same label.
+
+``reference_worst_case_queries`` is ``builders.worst_case_queries`` as it was
+before it played the strategy as a tree over the slice: it traces every slice
+word on its own.
 """
 
 from __future__ import annotations
 
 from subword_trees.builders import block_length
 from subword_trees.language import ALPHABET, Language
-from subword_trees.trees import Ask, Finish, QueryStrategy
+from subword_trees.trees import Ask, Finish, QueryStrategy, trace_strategy
+
+
+def reference_worst_case_queries(lang: Language, strategy: QueryStrategy, cap: int) -> int | None:
+    if lang.count_slice(strategy.n) > cap:
+        return None
+    worst = 0
+    for w in lang.iter_slice(strategy.n):
+        queried, label = trace_strategy(strategy, w)
+        if label != w:
+            raise AssertionError(f"strategy misrecognized {w!r} for {lang.name}")
+        worst = max(worst, len(queried))
+    return worst
 
 
 class ReferenceBlockStrategy(QueryStrategy):

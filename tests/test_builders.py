@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from subword_trees import (
+    Ask,
+    BlockRecognitionStrategy,
     BuilderPreconditionError,
     CertificateError,
+    Finish,
     Language,
+    QueryStrategy,
     StrategyError,
     block_certificate,
     block_length,
@@ -25,6 +29,7 @@ from subword_trees import (
     validate_membership,
     validate_recognition,
 )
+from subword_trees.builders import worst_case_queries
 from subword_trees.dimensions import INFINITY
 from subword_trees.oracle import (
     membership_depth_det,
@@ -33,7 +38,7 @@ from subword_trees.oracle import (
 )
 
 from conftest import iter_antichains, small_languages
-from reference_strategy import ReferenceBlockStrategy
+from reference_strategy import ReferenceBlockStrategy, reference_worst_case_queries
 
 
 def finite_hom_corpus(corpus):
@@ -220,6 +225,90 @@ def test_strategy_advance_answers_only_the_asked_position():
     assert strategy.next_action(finished).label == "0" * 10
     with pytest.raises(StrategyError):
         strategy.advance(finished, 3, 0)
+
+
+# -- worst-case replay against the per-word reference --------------------------------
+
+
+def replay_languages(corpus):
+    return finite_hom_corpus(corpus) + [
+        stress_language(),
+        Language.from_forbidden("avoid-001-010-0111", ["001", "010", "0111"]),
+    ]
+
+
+def replay_lengths(t):
+    return sorted({10 * t, 10 * t + 1, 12 * t + 5, 40, 100} - set(range(10 * t)))
+
+
+def test_worst_case_queries_matches_reference(corpus):
+    for lang in replay_languages(corpus):
+        for n in replay_lengths(block_length(lang)):
+            strategy = block_recognition_strategy(lang, n)
+            want = reference_worst_case_queries(lang, strategy, 10**6)
+            assert worst_case_queries(lang, strategy, 10**6) == want, (lang.name, n)
+            count = lang.count_slice(n)
+            assert worst_case_queries(lang, strategy, count) == want
+            if count:
+                assert worst_case_queries(lang, strategy, count - 1) is None
+
+
+class ForgetfulStrategy(BlockRecognitionStrategy):
+    """Asks what the block strategy asks, then announces the least member."""
+
+    def next_action(self, state):
+        act = super().next_action(state)
+        return Finish(self.fallback) if isinstance(act, Finish) else act
+
+
+class OneQueryTooManyStrategy(QueryStrategy):
+    """Reads every position, asks position 1 again, then announces the word."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def next_action(self, state):
+        if len(state) <= self.n:
+            return Ask(len(state) % self.n + 1)
+        return Finish("".join(str(bit) for _, bit in state[: self.n]))
+
+
+def test_worst_case_queries_rejects_wrong_strategies():
+    lang = stress_language()
+    for n in (20, 33):
+        strategy = ForgetfulStrategy(lang, n)
+        with pytest.raises(AssertionError) as got:
+            worst_case_queries(lang, strategy, 10**6)
+        with pytest.raises(AssertionError) as want:
+            reference_worst_case_queries(lang, strategy, 10**6)
+        assert str(got.value) == str(want.value)
+        assert repr(lang.slice(n)[1]) in str(got.value)  # the least misrecognized word
+    for replay in (worst_case_queries, reference_worst_case_queries):
+        with pytest.raises(StrategyError):
+            replay(lang, OneQueryTooManyStrategy(20), 10**6)
+
+
+def test_worst_case_queries_advances_once_per_transcript_prefix(corpus):
+    # a replay word by word would advance once per (word, query) pair
+    for lang in replay_languages(corpus):
+        for n in replay_lengths(block_length(lang)):
+            strategy = block_recognition_strategy(lang, n)
+            counts = {"advance": 0, "next_action": 0}
+            for name in counts:
+                def counted(*args, _fn=getattr(strategy, name), _name=name):
+                    counts[_name] += 1
+                    return _fn(*args)
+
+                setattr(strategy, name, counted)
+            worst_case_queries(lang, strategy, 10**6)
+            prefixes = set()
+            plain = block_recognition_strategy(lang, n)
+            for w in lang.iter_slice(n):
+                queried, _ = trace_strategy(plain, w)
+                answers = tuple((p, w[p - 1]) for p in queried)
+                prefixes.update(answers[:k] for k in range(1, len(answers) + 1))
+            assert counts["advance"] == len(prefixes), (lang.name, n)
+            assert counts["next_action"] == len(prefixes) + 1, (lang.name, n)
 
 
 def test_materialized_strategies_validate(corpus):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from subword_trees import bundled_path, tree_from_json, tree_to_json
+from subword_trees import bundled_path, cli, tree_from_json, tree_to_json
 from subword_trees.cli import main
 from subword_trees.oracle import optimal_recognition_tree
 from subword_trees.language import bundled_language
@@ -424,6 +424,39 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["depths", "L3"])  # missing -n
     assert err.value.code == 1
+
+
+PARSER_SEQUENCE = [
+    ["classify", "L3", "L5"],
+    ["enumerate", "L3", "-n", "3"],
+    ["depths", "L3"],  # missing -n: argparse exits 1
+    ["depths", "L4", "-n", "1..3", "--measures", "rd,md"],
+    ["build-tree", "L3", "-n", "3", "--algorithm", "exact"],
+    ["build-tree", "L3", "-n", "3", "--bogus"],
+    ["enumerate", "L2", "-n", "5", "--count-only"],
+    ["validate", "--help"],
+]
+
+
+def outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_main_reuses_one_parser(capsys):
+    fresh = []
+    for argv in PARSER_SEQUENCE:
+        cli._shared_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    cli._shared_parser.cache_clear()
+    reused = [outcome(capsys, argv) for argv in PARSER_SEQUENCE]
+    assert cli._shared_parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0, 1, 0, 0]
+    assert reused == fresh
 
 
 def test_unknown_measure_is_usage_error(capsys):

@@ -16,10 +16,11 @@ from subword_trees import (
     is_subsequence,
     parse_language_spec,
 )
+from subword_trees.language import index_masks
 from subword_trees.oracle import brute_slice
 
 from conftest import small_languages, words_up_to
-from reference_language import reference_iter_words
+from reference_language import division_index_masks, reference_iter_words, string_truth_table
 
 word_st = hs.text(alphabet="01", max_size=10)
 
@@ -188,6 +189,7 @@ def test_first_slice_word(corpus):
         lambda lang: lang.automaton().count_consistent(-1),
         lambda lang: lang.automaton().exists_consistent(-1, {}, member=False),
         lambda lang: lang.automaton().find_consistent(-1, {}, member=True),
+        lambda lang: lang.automaton().truth_table(-1),
     ],
 )
 def test_negative_slice_length_is_rejected(call):
@@ -265,6 +267,36 @@ def test_iter_words_match_reference():
 @settings(max_examples=25, deadline=None)
 def test_iter_words_match_reference_on_drawn_antichains(words):
     assert_iter_words_match_reference(Language.from_forbidden("drawn", words))
+
+
+# -- truth tables against the slice's word strings ------------------------------
+
+
+def assert_truth_table_matches_strings(lang, lengths=range(0, 13)):
+    aut = lang.automaton()
+    for n in lengths:
+        assert aut.truth_table(n) == string_truth_table(lang, n), (lang.obstructions, n)
+
+
+def test_truth_table_matches_strings():
+    for lang in small_languages() + [
+        Language.from_forbidden("empty", [""]),
+        Language.from_forbidden("full", []),
+    ]:
+        assert_truth_table_matches_strings(lang)
+    for name in ("L1", "L2", "L3", "L4", "L5"):
+        assert_truth_table_matches_strings(bundled_language(name), (16, 20))
+
+
+@given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_truth_table_matches_strings_on_drawn_antichains(words):
+    assert_truth_table_matches_strings(Language.from_forbidden("drawn", words))
+
+
+def test_index_masks_match_division_formula():
+    for k in range(0, 21):
+        assert index_masks(k) == division_index_masks(k), k
 
 
 def test_iter_words_opens_only_frames_that_lead_to_words(monkeypatch):

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from subword_trees import (
     Ask,
@@ -23,10 +25,14 @@ from subword_trees import (
     validate_recognition,
 )
 from subword_trees.oracle import (
+    membership_certificates,
     optimal_membership_tree,
     optimal_recognition_tree,
     recognition_certificates,
 )
+
+from conftest import small_languages
+from reference_trees import reference_validate_membership, reference_validate_recognition
 
 
 def leaf_chain(word, positions, label):
@@ -182,6 +188,117 @@ def test_membership_label_must_be_bit():
     L1 = bundled_language("L1")
     violation = validate_membership(DecisionTree((Leaf("yes"),)), L1, 2, "det")
     assert violation is not None and violation.bullet == 1
+
+
+# -- set replay against the per-word reference validators ------------------------------
+
+
+def rebuild(tree, replace):
+    """The tree with every node whose id is a key of ``replace`` swapped for its value."""
+
+    def walk(node):
+        if id(node) in replace:
+            return replace[id(node)]
+        if isinstance(node, Leaf):
+            return node
+        return Branch(node.position, tuple((bit, walk(child)) for bit, child in node.edges))
+
+    return DecisionTree(tuple(walk(child) for child in tree.root_children))
+
+
+def mutants(tree, alien):
+    """Broken and harmless variants of a non-empty tree; ``alien`` is an
+    inadmissible leaf label."""
+    nodes = list(tree.iter_nodes())
+    leaves = [node for node in nodes if isinstance(node, Leaf)]
+    branches = [node for node in nodes if isinstance(node, Branch)]
+    out = [DecisionTree(())]
+    out.append(rebuild(tree, {id(leaves[0]): Leaf(alien)}))
+    other = next((leaf for leaf in leaves if leaf.label != leaves[0].label), None)
+    if other is not None:  # swapped leaves
+        out.append(rebuild(tree, {id(leaves[0]): Leaf(other.label), id(other): leaves[0]}))
+    wide = next((b for b in branches if len(b.edges) > 1), None)
+    if wide is not None:  # a dropped edge
+        out.append(rebuild(tree, {id(wide): Branch(wide.position, wide.edges[:1])}))
+    elif len(tree.root_children) > 1:
+        out.append(DecisionTree(tree.root_children[1:]))
+    if branches:
+        first = branches[0]
+        # duplicate edge bits: the first edge's bit on every edge, or the first edge twice
+        bit0 = first.edges[0][0]
+        dup = ((bit0, first.edges[0][1]), (bit0, first.edges[-1][1]))
+        out.append(rebuild(tree, {id(first): Branch(first.position, dup)}))
+        # a repeated query whose contradictory edge ends in a wrong label no word reaches
+        repeated = tuple(
+            (bit, Branch(first.position, ((bit, child), (1 - bit, Leaf(leaves[0].label)))))
+            for bit, child in first.edges
+        )
+        out.append(rebuild(tree, {id(first): Branch(first.position, repeated)}))
+    return out
+
+
+def assert_validators_match_reference(lang, n):
+    """Equal violations (or None) from the set replay and the per-word
+    reference, for optimal and certificate trees of both problems and their
+    mutants, in both modes."""
+    recognition = [optimal_recognition_tree(lang, n)]
+    recognition.append(tree_from_certificates(lang, n, recognition_certificates(lang, n)))
+    membership = [optimal_membership_tree(lang, n)]
+    membership.append(
+        DecisionTree(
+            tuple(
+                leaf_chain(w, cert, "1" if lang.contains(w) else "0")
+                for w, cert in membership_certificates(lang, n).items()
+            )
+        )
+    )
+    checks = [
+        (validate_recognition, reference_validate_recognition, recognition, "2" * n),
+        (validate_membership, reference_validate_membership, membership, "2"),
+    ]
+    for validate, reference, trees, alien in checks:
+        for tree in trees:
+            variants = [tree] + (mutants(tree, alien) if tree.root_children else [])
+            for variant in variants:
+                for mode in ("det", "nondet"):
+                    got = validate(variant, lang, n, mode)
+                    assert got == reference(variant, lang, n, mode), (lang.name, n, mode, variant)
+
+
+def test_validators_match_reference():
+    for lang in small_languages():
+        for n in range(1, 9):
+            assert_validators_match_reference(lang, n)
+
+
+@given(
+    words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4),
+    n=hs.integers(1, 8),
+)
+@settings(max_examples=25, deadline=None)
+def test_validators_match_reference_on_drawn_antichains(words, n):
+    assert_validators_match_reference(Language.from_forbidden("drawn", words), n)
+
+
+def test_validators_reject_what_the_reference_rejects():
+    # the mutants are not all harmless: each validator and problem sees failures
+    # of every solving bullet across the small languages
+    seen = set()
+    for lang in small_languages()[:8]:
+        for n in (3, 5):
+            tree = optimal_recognition_tree(lang, n)
+            if tree.root_children:
+                for variant in mutants(tree, "2" * n):
+                    for mode in ("det", "nondet"):
+                        v = validate_recognition(variant, lang, n, mode)
+                        seen.add(("rec", v and v.bullet))
+            for variant in mutants(optimal_membership_tree(lang, n), "2"):
+                for mode in ("det", "nondet"):
+                    v = validate_membership(variant, lang, n, mode)
+                    seen.add(("mem", v and v.bullet))
+    for problem in ("rec", "mem"):
+        for bullet in (None, 0, 1, 2, 3):
+            assert (problem, bullet) in seen, (problem, bullet)
 
 
 # -- strategies ----------------------------------------------------------------------
