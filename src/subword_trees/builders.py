@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .dimensions import INFINITY, homogeneity_dimension, slice_size_bound
 from .language import ALPHABET, Language
+from .oracle import MAX_TABLE_N, CapExceeded, greedy_hitting_set, min_hitting_set
 from .trees import (
     Ask,
     Branch,
@@ -362,8 +363,6 @@ def distinguishing_set_tree(lang: Language, n: int) -> DecisionTree:
     order.  Leaves on paths matching no member carry the lexicographically least
     member.
     """
-    from .oracle import greedy_hitting_set, min_hitting_set
-
     words = lang.slice(n)
     if not words:
         return DecisionTree(())
@@ -401,11 +400,17 @@ def distinguishing_set_tree(lang: Language, n: int) -> DecisionTree:
 
 def membership_tree(lang: Language, n: int) -> DecisionTree:
     """Membership tree: constant leaf when the answer never varies, else the
-    complete depth-n tree reading every position."""
+    complete depth-n tree reading every position.
+
+    The complete tree has 2^n leaves, so it raises ``CapExceeded`` past
+    ``MAX_TABLE_N``, the width the membership validator accepts.
+    """
     if lang.count_slice(n) == 0:
         return DecisionTree((Leaf("0"),))
     if not lang.obstructions:
         return DecisionTree((Leaf("1"),))
+    if n > MAX_TABLE_N:
+        raise CapExceeded(f"complete membership tree capped at n <= {MAX_TABLE_N}, got {n}")
 
     def build(pos: int, prefix: str):
         if pos > n:

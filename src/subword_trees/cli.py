@@ -299,7 +299,11 @@ def cmd_validate(args) -> int:
             f"got {lang.name}({n})"
         )
     with open(args.tree, "r", encoding="utf-8") as fh:
-        tree = tree_from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise TreeFormatError(f"tree document is not UTF-8: {exc}") from exc
+    tree = tree_from_json(text)
     if args.problem == "recognition":
         violation = validate_recognition(tree, lang, n, args.mode)
     else:

@@ -48,33 +48,39 @@ class DimensionReport:
     predictions: dict[str, str]
 
 
-def _pad_word(bit: str, m: int, hetero: bool) -> str:
-    other = "1" if bit == "0" else "0"
+def _threshold(f: str, a: str, hetero: bool) -> int | float:
+    """Least m whose test word for letter ``a`` embeds the obstruction ``f``;
+    infinite when no test word does.
+
+    Into ``a^m a' a^m`` only ``a^i`` (once 2m >= i) and ``a^i a' a^j`` (once
+    m >= max(i, j)) embed; into ``a^m a'^m`` only ``a^i a'^j`` (once
+    m >= max(i, j)).
+    """
+    other = "1" if a == "0" else "0"
+    i = len(f) - len(f.lstrip(a))
+    rest = f[i:]  # empty, or starts with the other letter
     if hetero:
-        return bit * m + other * m
-    return bit * m + other + bit * m
+        return INFINITY if rest.strip(other) else max(i, len(rest))
+    if not rest:
+        return (i + 1) // 2
+    return INFINITY if rest[1:].strip(a) else max(i, len(rest) - 1)
 
 
 def _dimension(lang: Language, hetero: bool) -> int | float:
-    """Shared decision procedure for both dimensions.
+    """Closed form shared by both dimensions.
 
-    Let M be the maximum obstruction length.  The qualifying m-set of each
-    letter is downward closed, so the parameter is infinite iff the test word
-    at m = M is a member for some letter; an obstruction short enough to exist
-    embeds into the m = M test word whenever it embeds into any larger one.
-    Otherwise the maximum qualifying m is below M and a downward scan finds it.
-    Languages where no m qualifies (the empty language, or {empty word} for the
-    homogeneity case) get 0 by convention.
+    The test word of letter ``a`` is a member exactly while m is below the
+    least threshold of the obstructions, so the largest qualifying m is that
+    threshold minus one (infinite when no obstruction can embed).  The
+    dimension is the larger over the two letters.  Languages where no m
+    qualifies (the empty language, or {empty word} for the homogeneity case)
+    get 0 by convention.
     """
-    M = max((len(f) for f in lang.obstructions), default=0)
+    best = 0
     for a in ALPHABET:
-        if lang.contains(_pad_word(a, M, hetero)):
-            return INFINITY
-    for m in range(M - 1, -1, -1):
-        for a in ALPHABET:
-            if lang.contains(_pad_word(a, m, hetero)):
-                return m
-    return 0
+        least = min((_threshold(f, a, hetero) for f in lang.obstructions), default=INFINITY)
+        best = max(best, least - 1)
+    return best
 
 
 def homogeneity_dimension(lang: Language) -> int | float:

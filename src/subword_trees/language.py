@@ -365,6 +365,8 @@ def parse_language_spec(text: str) -> Language:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LanguageSpecError(f"malformed language document: {exc}") from exc
+    except RecursionError as exc:  # json.loads recurses per nesting level
+        raise LanguageSpecError("language document is nested too deeply") from exc
     if not isinstance(doc, dict):
         raise LanguageSpecError("malformed language document: expected a JSON object")
     name = doc.get("name")
@@ -387,7 +389,11 @@ def parse_language_spec(text: str) -> Language:
 
 def load_language(path: str) -> Language:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_language_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise LanguageSpecError(f"language document is not UTF-8: {exc}") from exc
+    return parse_language_spec(text)
 
 
 def bundled_path(name: str) -> str:

@@ -102,68 +102,6 @@ def chain(word: str, positions: tuple[int, ...], label: str) -> Node:
     return node
 
 
-def _check_positions(tree: DecisionTree, n: int) -> None:
-    for node in tree.iter_nodes():
-        if isinstance(node, Branch):
-            if not 1 <= node.position <= n:
-                raise TreeFormatError(
-                    f"branch queries position {node.position}, outside 1..{n}"
-                )
-            if not node.edges:
-                raise TreeFormatError("branch with no outgoing edges")
-            for bit, _ in node.edges:
-                if bit not in (0, 1):
-                    raise TreeFormatError(f"edge bit {bit!r} is not 0 or 1")
-
-
-def _determinism_violation(tree: DecisionTree) -> Violation | None:
-    if len(tree.root_children) != 1:
-        return Violation(
-            BULLET_DETERMINISM,
-            f"deterministic tree needs exactly one root child, found {len(tree.root_children)}",
-        )
-    for node in tree.iter_nodes():
-        if isinstance(node, Branch):
-            bits = [bit for bit, _ in node.edges]
-            if len(bits) != len(set(bits)):
-                return Violation(
-                    BULLET_DETERMINISM,
-                    f"branch at position {node.position} repeats an edge bit",
-                )
-    return None
-
-
-def _matching_leaves(children: tuple[Node, ...], w: str) -> Iterator[Leaf]:
-    """Leaves of every complete path whose constraints ``w`` satisfies."""
-    stack = list(children)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Leaf):
-            yield node
-        else:
-            want = int(w[node.position - 1])
-            for bit, child in node.edges:
-                if bit == want:
-                    stack.append(child)
-
-
-def _word_violation(children: tuple[Node, ...], w: str, want: str) -> Violation | None:
-    """The violation ``w`` alone shows: a path accepting it that ends with a
-    label other than ``want`` (the first one found), or no path accepting it."""
-    seen = False
-    for leaf in _matching_leaves(children, w):
-        seen = True
-        if leaf.label != want:
-            return Violation(
-                BULLET_CONSISTENCY,
-                f"a path accepting {w!r} ends with label {leaf.label!r}, expected {want!r}",
-                witness=w,
-            )
-    if not seen:
-        return Violation(BULLET_COVERAGE, f"no complete path accepts {w!r}", witness=w)
-    return None
-
-
 def _validate(
     tree: DecisionTree,
     n: int,
@@ -173,55 +111,88 @@ def _validate(
     rejects: Callable[[str], int | None],
     word_of: Callable[[int], tuple[str, str]],
 ) -> Violation | None:
-    """Check the solving conditions over a universe of ``size`` words.
+    """Check the structure and the solving conditions over a universe of ``size`` words.
 
     A word set is an int whose bit i stands for the i-th universe word.
     ``splits[p - 1]`` holds the sets of words reading 0 and 1 at position p;
     ``rejects`` maps an admissible label to the set of words that want another
     label (None for an inadmissible label); ``word_of(i)`` is the i-th word
-    and the label it wants.  The tree is walked once, each node carrying the
-    words that satisfy its path.  The witness is the first universe word that
-    reaches a wrongly labelled leaf or no leaf, and the violation is read off
-    by replaying that word alone, as a word-by-word scan would report it.
+    and the label it wants.
+
+    The tree is walked once with a stack, each node carrying the words that
+    satisfy its path.  Every node is visited, also when no word reaches it,
+    so a malformed node raises ``TreeFormatError`` wherever it sits.  Children
+    are pushed in edge order, so the walk restricted to the nodes one word
+    reaches is that word's own depth-first replay: the first leaf the walk
+    finds rejecting the least wrongly labelled word is the first one its
+    replay would meet.  The result is what a word-by-word scan reports:
+    determinism, then the empty tree, then an inadmissible label, then the
+    least universe word that reaches a wrongly labelled leaf or no leaf.
     """
     if mode not in (DET, NONDET):
         raise ValueError(f"mode must be {DET!r} or {NONDET!r}, got {mode!r}")
-    _check_positions(tree, n)
-    if mode == DET and tree.root_children:
-        bad = _determinism_violation(tree)
-        if bad is not None:
-            return bad
-    if not tree.root_children:
-        # distinguished empty tree: valid only when there is nothing to solve
-        if size == 0:
-            return None
-        return Violation(BULLET_COVERAGE, "empty tree but the problem has words to solve")
-    for node in tree.iter_nodes():
-        if isinstance(node, Leaf) and rejects(node.label) is None:
-            return Violation(
-                BULLET_LEAF_LABELS,
-                f"terminal label {node.label!r} is not admissible",
-                witness=node.label,
-            )
     everything = (1 << size) - 1
-    covered = wrong = 0
+    covered = wrong = 0  # wrong: the lowest bit of the least wrongly labelled word
+    repeated: Branch | None = None
+    alien = wrong_label = None
     stack = [(child, everything) for child in tree.root_children]
     while stack:
         node, words = stack.pop()
         if isinstance(node, Leaf):
             covered |= words
-            wrong |= words & rejects(node.label)
+            reject = rejects(node.label)
+            if reject is None:
+                if alien is None:
+                    alien = node.label
+            else:
+                bad = words & reject
+                bad &= -bad
+                if bad and (not wrong or bad < wrong):
+                    wrong, wrong_label = bad, node.label
             continue
+        if not 1 <= node.position <= n:
+            raise TreeFormatError(f"branch queries position {node.position}, outside 1..{n}")
+        if not node.edges:
+            raise TreeFormatError("branch with no outgoing edges")
         split = splits[node.position - 1]
         for bit, child in node.edges:
-            reach = words & split[bit]
-            if reach:
-                stack.append((child, reach))
-    offenders = wrong | (everything ^ covered)
-    if not offenders:
-        return None
-    w, want = word_of((offenders & -offenders).bit_length() - 1)
-    return _word_violation(tree.root_children, w, want)
+            if bit not in (0, 1):
+                raise TreeFormatError(f"edge bit {bit!r} is not 0 or 1")
+            stack.append((child, words & split[bit]))
+        if repeated is None and len(node.edges) > len({bit for bit, _ in node.edges}):
+            repeated = node
+    if mode == DET and tree.root_children:
+        if len(tree.root_children) != 1:
+            return Violation(
+                BULLET_DETERMINISM,
+                f"deterministic tree needs exactly one root child, found {len(tree.root_children)}",
+            )
+        if repeated is not None:
+            return Violation(
+                BULLET_DETERMINISM, f"branch at position {repeated.position} repeats an edge bit"
+            )
+    if not tree.root_children:
+        # distinguished empty tree: valid only when there is nothing to solve
+        if size == 0:
+            return None
+        return Violation(BULLET_COVERAGE, "empty tree but the problem has words to solve")
+    if alien is not None:
+        return Violation(
+            BULLET_LEAF_LABELS, f"terminal label {alien!r} is not admissible", witness=alien
+        )
+    missed = everything ^ covered
+    missed &= -missed
+    if wrong and (not missed or wrong < missed):
+        w, want = word_of(wrong.bit_length() - 1)
+        return Violation(
+            BULLET_CONSISTENCY,
+            f"a path accepting {w!r} ends with label {wrong_label!r}, expected {want!r}",
+            witness=w,
+        )
+    if missed:
+        w, _ = word_of(missed.bit_length() - 1)
+        return Violation(BULLET_COVERAGE, f"no complete path accepts {w!r}", witness=w)
+    return None
 
 
 def validate_recognition(

@@ -5,8 +5,9 @@ These are the solving-condition validators as they were before
 the universe (the slice for recognition, all 2^n words for membership) walks
 every path it satisfies on its own, and the first word, in universe order,
 that meets a wrongly labelled leaf or no leaf at all is the witness.  The
-structural checks (positions, determinism, admissible labels) are the
-production ones; only the per-word replay is kept here.
+structural checks (positions, determinism, admissible labels) are separate
+passes over ``DecisionTree.iter_nodes``, each run to completion before the
+next, where the production validator derives them all from its one walk.
 """
 
 from __future__ import annotations
@@ -17,16 +18,48 @@ from subword_trees.language import Language, all_words
 from subword_trees.trees import (
     BULLET_CONSISTENCY,
     BULLET_COVERAGE,
+    BULLET_DETERMINISM,
     BULLET_LEAF_LABELS,
     DET,
     NONDET,
+    Branch,
     DecisionTree,
     Leaf,
     Node,
+    TreeFormatError,
     Violation,
-    _check_positions,
-    _determinism_violation,
 )
+
+
+def _check_positions(tree: DecisionTree, n: int) -> None:
+    for node in tree.iter_nodes():
+        if isinstance(node, Branch):
+            if not 1 <= node.position <= n:
+                raise TreeFormatError(
+                    f"branch queries position {node.position}, outside 1..{n}"
+                )
+            if not node.edges:
+                raise TreeFormatError("branch with no outgoing edges")
+            for bit, _ in node.edges:
+                if bit not in (0, 1):
+                    raise TreeFormatError(f"edge bit {bit!r} is not 0 or 1")
+
+
+def _determinism_violation(tree: DecisionTree) -> Violation | None:
+    if len(tree.root_children) != 1:
+        return Violation(
+            BULLET_DETERMINISM,
+            f"deterministic tree needs exactly one root child, found {len(tree.root_children)}",
+        )
+    for node in tree.iter_nodes():
+        if isinstance(node, Branch):
+            bits = [bit for bit, _ in node.edges]
+            if len(bits) != len(set(bits)):
+                return Violation(
+                    BULLET_DETERMINISM,
+                    f"branch at position {node.position} repeats an edge bit",
+                )
+    return None
 
 
 def _matching_leaves(children: tuple[Node, ...], w: str) -> Iterator[Leaf]:

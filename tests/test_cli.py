@@ -48,10 +48,17 @@ def test_classify_json_format(capsys):
 
 def test_classify_invalid_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"name":"bad","forbidden":["12"]}')
-    code, _, err = run(capsys, "classify", str(bad))
-    assert code == 2
-    assert "invalid letter" in err
+    documents = [
+        (b'{"name":"bad","forbidden":["12"]}', "invalid letter"),
+        (b"\xff\xfe{\x00}\x00", "language document is not UTF-8"),
+        (b"[" * 200_000, "nested too deeply"),
+    ]
+    for content, fragment in documents:
+        bad.write_bytes(content)
+        for argv in (["classify", str(bad)], ["enumerate", str(bad), "-n", "3"]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2, (argv, fragment)
+            assert fragment in err
 
 
 def test_classify_missing_file(capsys):
@@ -187,6 +194,18 @@ def test_build_tree_membership_defaults_to_constant_leaf(capsys):
     code, out, _ = run(capsys, "build-tree", "L2", "-n", "5", "--problem", "membership")
     assert code == 0
     assert json.loads(out) == {"children": [{"leaf": "1"}]}
+    # a constant answer keeps its one leaf past the complete tree's cap
+    code, out, _ = run(capsys, "build-tree", "L2", "-n", "40", "--problem", "membership")
+    assert code == 0
+    assert json.loads(out) == {"children": [{"leaf": "1"}]}
+
+
+@pytest.mark.parametrize("n", ["21", "40"])
+def test_build_tree_paper_membership_past_table_width_is_exit_3(capsys, n):
+    # the complete membership tree has 2^n leaves, so n is capped before building it
+    code, _, err = run(capsys, "build-tree", "L1", "-n", n, "--problem", "membership")
+    assert code == 3
+    assert "capped at n <= 20" in err
 
 
 def test_build_tree_paper_infinite_dimension_exits_3(capsys):
@@ -404,6 +423,14 @@ def test_validate_malformed_tree_document(tmp_path, capsys):
     path.write_text("{not json")
     code, _, _ = run(capsys, "validate", str(path), "L3", "-n", "3")
     assert code == 2
+    # bytes that are not UTF-8, as the tree and as the language document
+    utf16 = tmp_path / "utf16.json"
+    utf16.write_bytes(b"\xff\xfe{\x00}\x00")
+    code, _, err = run(capsys, "validate", str(utf16), "L3", "-n", "3")
+    assert code == 2 and "tree document is not UTF-8" in err
+    path.write_text('{"children": [{"leaf": "000"}]}')
+    code, _, err = run(capsys, "validate", str(path), str(utf16), "-n", "3")
+    assert code == 2 and "language document is not UTF-8" in err
 
 
 def test_validate_deeply_nested_tree_document_is_exit_2(tmp_path, capsys):

@@ -20,8 +20,8 @@ from conftest import iter_antichains, random_antichains
 
 
 # -- definition-scan oracle ----------------------------------------------------
-# Independent of the closed-form decision procedure: test membership of the
-# defining words for every m up to one past the longest obstruction.
+# Independent of the closed-form thresholds: test membership of the defining
+# words for every m up to one past the longest obstruction.
 
 
 def scan_dimension(lang: Language, hetero: bool) -> float:
@@ -43,12 +43,15 @@ def test_hom_examples():
     assert homogeneity_dimension(Language.from_forbidden("L1", ["11"])) == INFINITY
     assert homogeneity_dimension(Language.from_forbidden("L3", ["10"])) == 0
     assert homogeneity_dimension(Language.from_forbidden("L5", ["1", "00"])) == 0
+    # a long obstruction costs its length, not its square
+    assert homogeneity_dimension(Language.from_forbidden("x", ["0" * 5000, "1"])) == 0
 
 
 def test_het_examples():
     assert heterogeneity_dimension(Language.from_forbidden("L3", ["10"])) == INFINITY
     assert heterogeneity_dimension(Language.from_forbidden("x", ["11", "00"])) == 1
     assert heterogeneity_dimension(Language.from_forbidden("L4", ["1"])) == 0
+    assert heterogeneity_dimension(Language.from_forbidden("x", ["0" * 5000, "1"])) == 0
 
 
 def test_dimensions_match_scan_oracle_on_corpus(corpus):

@@ -360,6 +360,7 @@ def test_parse_closure_document():
         ("{nonsense", "malformed"),
         ('{"name":"bad","forbidden":"11"}', "list"),
         ('{"name":"bad","closure_of":["0","01010101010101010"]}', "limited to 16 letters"),
+        pytest.param("[" * 200_000, "nested too deeply", id="nested-200000"),
     ],
 )
 def test_parse_errors_are_distinct(doc, fragment):

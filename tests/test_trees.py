@@ -194,11 +194,11 @@ def test_membership_label_must_be_bit():
 
 
 def rebuild(tree, replace):
-    """The tree with every node whose id is a key of ``replace`` swapped for its value."""
+    """The tree with every node whose id is a key of ``replace`` swapped for its
+    value; the replacement's children are rebuilt in turn."""
 
     def walk(node):
-        if id(node) in replace:
-            return replace[id(node)]
+        node = replace.get(id(node), node)
         if isinstance(node, Leaf):
             return node
         return Branch(node.position, tuple((bit, walk(child)) for bit, child in node.edges))
@@ -206,41 +206,73 @@ def rebuild(tree, replace):
     return DecisionTree(tuple(walk(child) for child in tree.root_children))
 
 
-def mutants(tree, alien):
-    """Broken and harmless variants of a non-empty tree; ``alien`` is an
-    inadmissible leaf label."""
+def flaws(tree, n, alien):
+    """Replacement maps for ``rebuild``, each breaking a non-empty tree in one
+    place (or harmlessly); ``alien`` is an inadmissible leaf label."""
     nodes = list(tree.iter_nodes())
     leaves = [node for node in nodes if isinstance(node, Leaf)]
     branches = [node for node in nodes if isinstance(node, Branch)]
-    out = [DecisionTree(())]
-    out.append(rebuild(tree, {id(leaves[0]): Leaf(alien)}))
+    # inadmissible labels at two leaves, so a pair shows which one is reported
+    out = [{id(leaves[0]): Leaf(alien)}, {id(leaves[-1]): Leaf(alien * 2)}]
     other = next((leaf for leaf in leaves if leaf.label != leaves[0].label), None)
     if other is not None:  # swapped leaves
-        out.append(rebuild(tree, {id(leaves[0]): Leaf(other.label), id(other): leaves[0]}))
+        out.append({id(leaves[0]): Leaf(other.label), id(other): leaves[0]})
     wide = next((b for b in branches if len(b.edges) > 1), None)
     if wide is not None:  # a dropped edge
-        out.append(rebuild(tree, {id(wide): Branch(wide.position, wide.edges[:1])}))
-    elif len(tree.root_children) > 1:
-        out.append(DecisionTree(tree.root_children[1:]))
+        out.append({id(wide): Branch(wide.position, wide.edges[:1])})
     if branches:
-        first = branches[0]
+        first, last = branches[0], branches[-1]
         # duplicate edge bits: the first edge's bit on every edge, or the first edge twice
-        bit0 = first.edges[0][0]
-        dup = ((bit0, first.edges[0][1]), (bit0, first.edges[-1][1]))
-        out.append(rebuild(tree, {id(first): Branch(first.position, dup)}))
+        for b in (first,) if first is last else (first, last):
+            bit = b.edges[0][0]
+            out.append({id(b): Branch(b.position, ((bit, b.edges[0][1]), (bit, b.edges[-1][1])))})
+        if other is not None:
+            # two more edges on the first edge's bit, to leaves with different
+            # labels: a word reading that bit may be wrong at both, and the
+            # first one its replay meets names the label
+            bit = first.edges[0][0]
+            extra = ((bit, Leaf(leaves[0].label)), (bit, Leaf(other.label)))
+            out.append({id(first): Branch(first.position, first.edges + extra)})
         # a repeated query whose contradictory edge ends in a wrong label no word reaches
         repeated = tuple(
             (bit, Branch(first.position, ((bit, child), (1 - bit, Leaf(leaves[0].label)))))
             for bit, child in first.edges
         )
-        out.append(rebuild(tree, {id(first): Branch(first.position, repeated)}))
+        out.append({id(first): Branch(first.position, repeated)})
+        # malformed: a position past n, no edges, an edge bit that is not 0 or 1
+        out.append({id(first): Branch(n + 1, first.edges)})
+        out.append({id(last): Branch(last.position, ())})
+        out.append({id(last): Branch(last.position, ((2, last.edges[0][1]),) + last.edges[1:])})
     return out
 
 
+def mutants(tree, n, alien):
+    """Broken and harmless variants of a non-empty tree: the empty tree, one
+    flaw, and every pair of flaws that touch different nodes."""
+    maps = flaws(tree, n, alien)
+    out = [DecisionTree(())]
+    if len(tree.root_children) > 1:
+        out.append(DecisionTree(tree.root_children[1:]))
+    out.extend(rebuild(tree, m) for m in maps)
+    for i, a in enumerate(maps):
+        for b in maps[i + 1 :]:
+            if not a.keys() & b.keys():
+                out.append(rebuild(tree, {**a, **b}))
+    return out
+
+
+def outcome(validate, tree, lang, n, mode):
+    """The violation (or None), or the message of the ``TreeFormatError`` raised."""
+    try:
+        return validate(tree, lang, n, mode)
+    except TreeFormatError as exc:
+        return f"TreeFormatError: {exc}"
+
+
 def assert_validators_match_reference(lang, n):
-    """Equal violations (or None) from the set replay and the per-word
-    reference, for optimal and certificate trees of both problems and their
-    mutants, in both modes."""
+    """Equal violations (or None, or format errors) from the one-walk
+    validators and the per-word reference, for optimal and certificate trees
+    of both problems and their mutants, in both modes."""
     recognition = [optimal_recognition_tree(lang, n)]
     recognition.append(tree_from_certificates(lang, n, recognition_certificates(lang, n)))
     membership = [optimal_membership_tree(lang, n)]
@@ -258,11 +290,12 @@ def assert_validators_match_reference(lang, n):
     ]
     for validate, reference, trees, alien in checks:
         for tree in trees:
-            variants = [tree] + (mutants(tree, alien) if tree.root_children else [])
+            variants = [tree] + (mutants(tree, n, alien) if tree.root_children else [])
             for variant in variants:
                 for mode in ("det", "nondet"):
-                    got = validate(variant, lang, n, mode)
-                    assert got == reference(variant, lang, n, mode), (lang.name, n, mode, variant)
+                    got = outcome(validate, variant, lang, n, mode)
+                    want = outcome(reference, variant, lang, n, mode)
+                    assert got == want, (lang.name, n, mode, variant)
 
 
 def test_validators_match_reference():
@@ -282,23 +315,37 @@ def test_validators_match_reference_on_drawn_antichains(words, n):
 
 def test_validators_reject_what_the_reference_rejects():
     # the mutants are not all harmless: each validator and problem sees failures
-    # of every solving bullet across the small languages
+    # of every solving bullet, and format errors, across the small languages
+    def kind(v):
+        return "format" if isinstance(v, str) else v and v.bullet
+
     seen = set()
     for lang in small_languages()[:8]:
         for n in (3, 5):
             tree = optimal_recognition_tree(lang, n)
             if tree.root_children:
-                for variant in mutants(tree, "2" * n):
+                for variant in mutants(tree, n, "2" * n):
                     for mode in ("det", "nondet"):
-                        v = validate_recognition(variant, lang, n, mode)
-                        seen.add(("rec", v and v.bullet))
-            for variant in mutants(optimal_membership_tree(lang, n), "2"):
+                        v = outcome(validate_recognition, variant, lang, n, mode)
+                        seen.add(("rec", kind(v)))
+            for variant in mutants(optimal_membership_tree(lang, n), n, "2"):
                 for mode in ("det", "nondet"):
-                    v = validate_membership(variant, lang, n, mode)
-                    seen.add(("mem", v and v.bullet))
+                    v = outcome(validate_membership, variant, lang, n, mode)
+                    seen.add(("mem", kind(v)))
     for problem in ("rec", "mem"):
-        for bullet in (None, 0, 1, 2, 3):
+        for bullet in (None, 0, 1, 2, 3, "format"):
             assert (problem, bullet) in seen, (problem, bullet)
+
+
+def test_malformed_node_that_no_word_reaches_raises():
+    # the contradictory edge of a repeated query carries no word, yet its
+    # malformed branch is still checked
+    L2 = bundled_language("L2")
+    hidden = Branch(1, ((0, Branch(1, ((1, Branch(3, ((0, Leaf("1")),))),))),))
+    tree = DecisionTree((hidden, leaf_chain("0", (1,), "1"), leaf_chain("1", (1,), "1")))
+    for validate in (validate_recognition, validate_membership):
+        with pytest.raises(TreeFormatError, match="position 3, outside 1..1"):
+            validate(tree, L2, 1, "nondet")
 
 
 # -- strategies ----------------------------------------------------------------------
