@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .dimensions import INFINITY, homogeneity_dimension, slice_size_bound
 from .language import ALPHABET, Language
-from .oracle import MAX_TABLE_N, CapExceeded, greedy_hitting_set, min_hitting_set
+from .oracle import greedy_hitting_set, min_hitting_set
 from .trees import (
     Ask,
     Branch,
@@ -247,36 +247,36 @@ def worst_case_queries(lang: Language, strategy: QueryStrategy, cap: int) -> int
     has more than ``cap`` words.
 
     The strategy is played as a tree over the slice: each node carries the
-    slice words whose answers lead to it and splits them by the letter at the
-    asked position, so ``next_action`` and ``advance`` run once per distinct
-    answer transcript, not once per word.  Raises ``AssertionError`` naming
-    the least word the strategy misrecognizes, and ``StrategyError`` when it
-    asks more than one query per letter.
+    set of slice words whose answers lead to it and splits it by the slice
+    column of the asked position, so ``next_action`` and ``advance`` run once
+    per distinct answer transcript, not once per word.  Raises
+    ``AssertionError`` naming the least word the strategy misrecognizes, and
+    ``StrategyError`` when it asks more than one query per letter.
     """
     n = strategy.n
     if lang.count_slice(n) > cap:
         return None
-    worst = 0
-    wrong: list[str] = []
-    stack = [(strategy.initial_state(), lang.slice(n), 0)]
+    words, cols = lang.slice_columns(n)
+    index = {w: i for i, w in enumerate(words)}
+    worst = wrong = 0
+    stack = [(strategy.initial_state(), (1 << len(words)) - 1, 0)]
     while stack:
-        state, words, depth = stack.pop()
+        state, S, depth = stack.pop()
         act = strategy.next_action(state)
         if isinstance(act, Finish):
-            wrong.extend(w for w in words if w != act.label)
+            i = index.get(act.label)
+            wrong |= S if i is None else S & ~(1 << i)
             worst = max(worst, depth)
             continue
         if depth >= n:
             raise StrategyError(f"query budget {n} exceeded at position {act.position}")
-        i = act.position - 1
-        split: tuple[list[str], list[str]] = ([], [])
-        for w in words:
-            split[w[i] == "1"].append(w)
-        for bit, part in enumerate(split):
+        ones = S & cols[act.position - 1]
+        for bit, part in enumerate((S ^ ones, ones)):
             if part:
                 stack.append((strategy.advance(state, act.position, bit), part, depth + 1))
     if wrong:
-        raise AssertionError(f"strategy misrecognized {min(wrong)!r} for {lang.name}")
+        least = words[(wrong & -wrong).bit_length() - 1]
+        raise AssertionError(f"strategy misrecognized {least!r} for {lang.name}")
     return worst
 
 
@@ -330,26 +330,27 @@ def tree_from_certificates(
 
     A certificate is a sorted tuple of 1-based positions; it separates its word
     from another member when the two differ at one of them.  Verifies that the
-    map covers the slice exactly and that every certificate separates its word
-    from every other member; the resulting tree has one root child per word and
-    depth equal to the largest certificate.
+    map covers the slice exactly, that every position lies in 1..n and that
+    every certificate separates its word from every other member, naming the
+    least unseparated member; the resulting tree has one root child per word
+    and depth equal to the largest certificate.
     """
-    words = lang.slice(n)
+    words, cols = lang.slice_columns(n)
     if set(certs) != set(words):
         missing = sorted(set(words) - set(certs), key=lambda w: w)[:1]
         extra = sorted(set(certs) - set(words))[:1]
         detail = f"missing {missing[0]!r}" if missing else f"not in slice: {extra[0]!r}"
         raise CertificateError(f"certificate map does not match the slice ({detail})")
-    ints = [int(w or "0", 2) for w in words]  # position p is bit n - p
-    for w, x in zip(words, ints):
-        mask = 0
+    everything = (1 << len(words)) - 1
+    for i, w in enumerate(words):
+        agree = everything ^ 1 << i  # the other members that agree with w on certs[w]
         for p in certs[w]:
-            mask |= 1 << (n - p)
-        for u, y in zip(words, ints):
-            if not (x ^ y) & mask and y != x:
-                raise CertificateError(
-                    f"certificate for {w!r} does not separate it from {u!r}"
-                )
+            if not 1 <= p <= n:
+                raise CertificateError(f"certificate for {w!r} has position {p}, outside 1..{n}")
+            agree &= cols[p - 1] if w[p - 1] == "1" else cols[p - 1] ^ everything
+        if agree:
+            u = words[(agree & -agree).bit_length() - 1]
+            raise CertificateError(f"certificate for {w!r} does not separate it from {u!r}")
     children = tuple(chain(w, certs[w], w) for w in words)
     return DecisionTree(children)
 
@@ -402,21 +403,18 @@ def membership_tree(lang: Language, n: int) -> DecisionTree:
     """Membership tree: constant leaf when the answer never varies, else the
     complete depth-n tree reading every position.
 
-    The complete tree has 2^n leaves, so it raises ``CapExceeded`` past
-    ``MAX_TABLE_N``, the width the membership validator accepts.
+    The complete tree is built bottom up from the slice truth table, which
+    raises ``CapExceeded`` past ``MAX_TABLE_N``: leaf x answers for the word
+    ``format(x, f"0{n}b")``, and the branches at position p pair the nodes
+    whose words differ only there.  Leaves with one label are one object.
     """
     if lang.count_slice(n) == 0:
         return DecisionTree((Leaf("0"),))
     if not lang.obstructions:
         return DecisionTree((Leaf("1"),))
-    if n > MAX_TABLE_N:
-        raise CapExceeded(f"complete membership tree capped at n <= {MAX_TABLE_N}, got {n}")
-
-    def build(pos: int, prefix: str):
-        if pos > n:
-            return Leaf("1" if lang.contains(prefix) else "0")
-        return Branch(
-            pos, tuple((bit, build(pos + 1, prefix + ALPHABET[bit])) for bit in (0, 1))
-        )
-
-    return DecisionTree((build(1, ""),))
+    table = lang.automaton().truth_table(n)
+    leaves = {"0": Leaf("0"), "1": Leaf("1")}
+    level = [leaves[c] for c in format(table, f"0{1 << n}b")[::-1]]
+    for pos in range(n, 0, -1):
+        level = [Branch(pos, ((0, level[i]), (1, level[i + 1]))) for i in range(0, len(level), 2)]
+    return DecisionTree((level[0],))

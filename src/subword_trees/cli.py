@@ -1,9 +1,9 @@
 """Command-line surface: classify, enumerate, depths, build-tree, validate.
 
-Exit codes: 0 ok, 1 usage error, 2 invalid input document, 3 builder
-precondition unmet or exhaustive-search cap exceeded (``validate`` too: past
-n = 20 for membership, past slices of 4096 words for recognition), 4
-validation failure.
+Exit codes: 0 ok, 1 usage error, 2 invalid input document or a file that
+cannot be read or written, 3 builder precondition unmet or exhaustive-search
+cap exceeded (``validate`` too: past n = 20 for membership, past slices of
+4096 words for recognition), 4 validation failure.
 Identical inputs always produce byte-identical output (fixed orderings, no
 timestamps).
 """
@@ -58,6 +58,16 @@ class _Parser(argparse.ArgumentParser):
 
 class UsageError(ValueError):
     pass
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:  # argparse's own wording for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _resolve_language(path: str) -> Language:
@@ -183,9 +193,8 @@ def cmd_depths(args) -> int:
             hi,
             measures=measures,
             allow_constructed=args.algorithm == "paper",
-            max_recognition_n=args.max_n if args.max_n else oracle.MAX_RECOGNITION_N,
-            max_slice=args.max_slice if args.max_slice else oracle.MAX_SLICE,
-            max_membership_n=args.max_n if args.max_n else oracle.MAX_MEMBERSHIP_N,
+            max_n=args.max_n,
+            max_slice=args.max_slice,
         )
         profiles.append((report, profile))
     header = ["language", "n", "h_rd", "h_ra", "h_md", "h_ma", "class"] + [
@@ -227,13 +236,10 @@ def _build_tree(args, lang: Language, n: int) -> DecisionTree | dict:
     problem, mode, algorithm = args.problem, args.mode, args.algorithm
     if problem == "recognition":
         if algorithm == "exact":
+            max_n = args.max_n or oracle.MAX_RECOGNITION_N
             if mode == DET:
-                return oracle.optimal_recognition_tree(
-                    lang, n, args.max_n or oracle.MAX_RECOGNITION_N, args.max_slice or oracle.MAX_SLICE
-                )
-            certs = oracle.recognition_certificates(
-                lang, n, args.max_n or oracle.MAX_RECOGNITION_N, args.max_slice or oracle.MAX_SLICE
-            )
+                return oracle.optimal_recognition_tree(lang, n, max_n, args.max_slice)
+            certs = oracle.recognition_certificates(lang, n, max_n, args.max_slice)
             return builders.tree_from_certificates(lang, n, certs)
         if mode == NONDET:
             certs = {w: builders.block_certificate(lang, n, w) for w in lang.iter_slice(n)}
@@ -242,7 +248,7 @@ def _build_tree(args, lang: Language, n: int) -> DecisionTree | dict:
         if n <= MATERIALIZE_LIMIT:
             return materialize_strategy(strategy)
         # too deep to expand: report the measured query bound instead
-        worst = builders.worst_case_queries(lang, strategy, args.max_slice or oracle.MAX_SLICE)
+        worst = builders.worst_case_queries(lang, strategy, args.max_slice)
         return {
             "algorithm": "paper",
             "problem": "recognition",
@@ -350,8 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="paper: fill rd cells beyond the oracle caps by simulating the block strategy",
     )
     p.add_argument("--format", choices=("table", "csv", "json"), default="csv")
-    p.add_argument("--max-n", type=int, default=None, help="override the oracle length caps")
-    p.add_argument("--max-slice", type=int, default=None, help="override the slice size cap")
+    p.add_argument("--max-n", type=_positive_int, help="override the oracle length caps")
+    p.add_argument("--max-slice", type=_positive_int, default=oracle.MAX_SLICE,
+                   help="override the slice size cap")
     p.add_argument("--out")
     p.set_defaults(func=cmd_depths)
 
@@ -366,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="paper",
         help="exact: optimal via the oracle; paper: the constructive builders",
     )
-    p.add_argument("--max-n", type=int, default=None)
-    p.add_argument("--max-slice", type=int, default=None)
+    p.add_argument("--max-n", type=_positive_int)
+    p.add_argument("--max-slice", type=_positive_int, default=oracle.MAX_SLICE)
     p.add_argument("--out")
     p.add_argument("--dot", help="also write a GraphViz rendering to this path")
     p.set_defaults(func=cmd_build_tree)
@@ -397,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LanguageSpecError, TreeFormatError, FileNotFoundError, IsADirectoryError) as exc:
+    except (LanguageSpecError, TreeFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (builders.BuilderPreconditionError, builders.CertificateError, oracle.CapExceeded) as exc:

@@ -22,10 +22,15 @@ BUNDLED_NAMES = ("L1", "L2", "L3", "L4", "L5")
 # closure_to_antichain scans every word up to one letter past the longest
 # generator, so its time grows about fourfold per two more letters
 MAX_GENERATOR_LENGTH = 16
+MAX_TABLE_N = 20  # membership truth tables: 2^20 bits is 128 KiB
 
 
 class LanguageSpecError(ValueError):
     """A language description document is malformed."""
+
+
+class CapExceeded(RuntimeError):
+    """The requested instance exceeds the configured exhaustive-search caps."""
 
 
 def require_word(s: str) -> str:
@@ -133,6 +138,13 @@ class Language:
 
     def iter_slice(self, n: int) -> Iterator[str]:
         return self.automaton().iter_words(n)
+
+    def slice_columns(self, n: int) -> tuple[list[str], list[int]]:
+        """The slice in lexicographic order and its columns as word sets: bit
+        i of ``cols[p - 1]`` is set iff ``words[i]`` has a 1 at position p."""
+        words = self.slice(n)
+        letters = "".join(words)  # column p - 1 of the word matrix is letters[p - 1::n]
+        return words, [int(letters[p::n][::-1] or "0", 2) for p in range(n)]
 
     def count_slice(self, n: int) -> int:
         """``len(slice(n))`` computed by dynamic programming, without enumeration."""
@@ -315,8 +327,11 @@ class SliceAutomaton:
         The table of the words of length k read from state q is the table of
         its 0-successor for length k - 1, then that of its 1-successor shifted
         past it: ``T_q(k) = T_{q0}(k - 1) | T_{q1}(k - 1) << 2^(k - 1)``.
+        Raises ``CapExceeded`` past ``MAX_TABLE_N``.
         """
         _check_length(n)
+        if n > MAX_TABLE_N:
+            raise CapExceeded(f"truth table capped at n <= {MAX_TABLE_N}, got {n}")
         rows = [0] + [1] * (len(self._trans) - 1)  # length 0: every live state accepts
         for k in range(n):
             rows = [rows[t0] | rows[t1] << (1 << k) for t0, t1 in self._trans]

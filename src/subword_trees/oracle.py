@@ -22,18 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dimensions import MEASURES
-from .language import Language, index_masks, require_word
+from .language import MAX_TABLE_N, CapExceeded, Language, index_masks, require_word
 from .trees import Branch, DecisionTree, Leaf
 
 MAX_BRUTE_N = 22
 MAX_RECOGNITION_N = 16
 MAX_SLICE = 4096
 MAX_MEMBERSHIP_N = 14
-MAX_TABLE_N = 20  # membership truth tables: 2^20 bits is 128 KiB, whatever max_n says
-
-
-class CapExceeded(RuntimeError):
-    """The requested instance exceeds the configured exhaustive-search caps."""
 
 
 def brute_slice(lang: Language, n: int, max_n: int = MAX_BRUTE_N) -> list[str]:
@@ -124,11 +119,6 @@ def min_hitting_set(masks: list[int]) -> int:
 # recognition: minimax over consistent member subsets
 
 
-def _slice_ints(lang: Language, n: int) -> tuple[list[str], list[int]]:
-    words = lang.slice(n)
-    return words, [int(w, 2) for w in words]
-
-
 def _check_recognition_caps(lang, n, max_n, max_slice):
     if not 1 <= n <= max_n:
         raise CapExceeded(f"recognition oracle capped at 1 <= n <= {max_n}, got {n}")
@@ -151,14 +141,11 @@ def _recognition_minimax(lang, n, max_n, max_slice):
     optimal position at every node.
     """
     _check_recognition_caps(lang, n, max_n, max_slice)
-    words, ints = _slice_ints(lang, n)
+    words, cols = lang.slice_columns(n)
     k = len(words)
     choices: dict[int, int] = {}
-    zero_mask = [0] * n
-    for idx, x in enumerate(ints):
-        for p in range(n):
-            if not x >> (n - 1 - p) & 1:
-                zero_mask[p] |= 1 << idx
+    everything = (1 << k) - 1
+    zero_mask = [c ^ everything for c in cols]
     if k <= 1:
         return words, 0, choices, zero_mask
     memo: dict[int, int] = {}
@@ -169,6 +156,7 @@ def _recognition_minimax(lang, n, max_n, max_slice):
         """max(lower, sensitivity of S), stopping early once it reaches cap."""
         nonlocal max_degree
         if not nbr:  # built on first use: slices where log2 is tight never need it
+            ints = [int(w, 2) for w in words]
             index = {x: idx for idx, x in enumerate(ints)}
             for x in ints:
                 nbr.append(sum(1 << j for p in range(n) if (j := index.get(x ^ 1 << p)) is not None))
@@ -209,7 +197,7 @@ def _recognition_minimax(lang, n, max_n, max_slice):
         memo[S] = best
         return best
 
-    return words, h((1 << k) - 1), choices, zero_mask
+    return words, h(everything), choices, zero_mask
 
 
 def recognition_depth_det(
@@ -247,7 +235,8 @@ def recognition_certificates(
 ) -> dict[str, tuple[int, ...]]:
     """Exact minimum separating position set for every slice word."""
     _check_recognition_caps(lang, n, max_n, max_slice)
-    words, ints = _slice_ints(lang, n)
+    words = lang.slice(n)
+    ints = [int(w, 2) for w in words]
     out: dict[str, tuple[int, ...]] = {}
     for i, w in enumerate(words):
         chosen = min_hitting_set(_difference_masks(ints, i))
@@ -260,15 +249,12 @@ def recognition_depth_nondet(
 ) -> int:
     """Largest over slice words of the minimum separating-set size (exact)."""
     _check_recognition_caps(lang, n, max_n, max_slice)
-    _, ints = _slice_ints(lang, n)
+    ints = [int(w, 2) for w in lang.slice(n)]
     best = 0
     for i in range(len(ints)):
         if best == n:
             break  # no certificate can need more than every position
-        masks = _difference_masks(ints, i)
-        if greedy_hitting_set(masks).bit_count() <= best:
-            continue  # its minimum certainly cannot raise the maximum
-        best = max(best, min_hitting_set(masks).bit_count())
+        best = max(best, min_hitting_set(_difference_masks(ints, i)).bit_count())
     return best
 
 
@@ -531,21 +517,24 @@ def depth_profile(
     hi: int,
     measures: tuple[str, ...] = MEASURES,
     allow_constructed: bool = False,
-    max_recognition_n: int = MAX_RECOGNITION_N,
+    max_n: int | None = None,
     max_slice: int = MAX_SLICE,
-    max_membership_n: int = MAX_MEMBERSHIP_N,
 ) -> DepthProfile:
     """Per-n table of the four depth measures with per-cell provenance.
 
     Cells are EXACT while the oracle caps allow; past the caps, the ``rd``
     column may be filled by simulating the constructive strategy (CONSTRUCTED)
     when ``allow_constructed`` is set, and everything else is SKIPPED.
+    ``max_n`` caps both problems; None keeps ``MAX_RECOGNITION_N`` and
+    ``MAX_MEMBERSHIP_N``.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid range {lo}..{hi}")
     for m in measures:
         if m not in MEASURES:
             raise ValueError(f"unknown measure {m!r}; expected one of {MEASURES}")
+    max_recognition_n = MAX_RECOGNITION_N if max_n is None else max_n
+    max_membership_n = MAX_MEMBERSHIP_N if max_n is None else max_n
     rows = []
     for n in range(lo, hi + 1):
         values: dict[str, int | None] = {}
@@ -565,13 +554,7 @@ def depth_profile(
                     v = membership_depth_nondet(lang, n, max_membership_n)
                 values[m], sources[m] = v, EXACT
             except CapExceeded:
-                if m == "rd" and allow_constructed:
-                    v = _constructed_rd(lang, n)
-                    if v is None:
-                        values[m], sources[m] = None, SKIPPED
-                    else:
-                        values[m], sources[m] = v, CONSTRUCTED
-                else:
-                    values[m], sources[m] = None, SKIPPED
+                v = _constructed_rd(lang, n) if m == "rd" and allow_constructed else None
+                values[m], sources[m] = v, SKIPPED if v is None else CONSTRUCTED
         rows.append(ProfileRow(n, values, sources))
     return DepthProfile(lang.name, rows)

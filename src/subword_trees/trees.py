@@ -206,14 +206,10 @@ def validate_recognition(
     structural single-root-child and distinct-edge-bits requirements.  The
     universe is the slice in lexicographic order.
     """
-    words = lang.slice(n)
+    words, cols = lang.slice_columns(n)
     index = {w: i for i, w in enumerate(words)}
-    letters = "".join(words)  # column p - 1 of the word matrix is letters[p - 1::n]
     everything = (1 << len(words)) - 1
-    splits = []
-    for p in range(n):
-        ones = int(letters[p::n][::-1] or "0", 2)  # word 0 is the lowest bit
-        splits.append((ones ^ everything, ones))
+    splits = [(ones ^ everything, ones) for ones in cols]
 
     def rejects(label: str) -> int | None:
         i = index.get(label)

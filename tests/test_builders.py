@@ -7,12 +7,14 @@ from hypothesis import strategies as hs
 
 from subword_trees import (
     Ask,
+    Branch,
     BlockRecognitionStrategy,
     BuilderPreconditionError,
     CertificateError,
     Finish,
     Language,
     QueryStrategy,
+    all_words,
     StrategyError,
     block_certificate,
     block_length,
@@ -415,7 +417,20 @@ def test_tree_from_certificates_non_separating():
     certs = {w: () for w in L3.slice(2)}
     with pytest.raises(CertificateError) as err:
         tree_from_certificates(L3, 2, certs)
-    assert "separate" in str(err.value)
+    # the least word whose certificate fails, then the least member it misses
+    assert str(err.value) == "certificate for '00' does not separate it from '01'"
+    certs = {"000": (3,), "001": (3,), "011": (1, 2), "111": (1,)}
+    with pytest.raises(CertificateError) as err:
+        tree_from_certificates(L3, 3, certs)
+    assert str(err.value) == "certificate for '001' does not separate it from '011'"
+
+
+@pytest.mark.parametrize("bad", [(3,), (0,), (-1,), (1, 5)])
+def test_tree_from_certificates_rejects_positions_outside_the_slice(bad):
+    L3 = bundled_language("L3")  # L3(2) = 00, 01, 11
+    certs = {"00": (2,), "01": bad, "11": (1,)}
+    with pytest.raises(CertificateError, match=r"certificate for '01' has position -?\d, outside 1\.\.2"):
+        tree_from_certificates(L3, 2, certs)
 
 
 def test_block_certificate_trees_validate(corpus):
@@ -484,6 +499,17 @@ def test_membership_tree_examples():
     tree = membership_tree(bundled_language("L1"), 2)
     assert tree.depth() == 2
     assert validate_membership(tree, bundled_language("L1"), 2, "det") is None
+
+
+def test_membership_tree_leaves_match_contains():
+    for lang in small_languages():
+        for n in range(1, 11):
+            (root,) = membership_tree(lang, n).root_children
+            for w in all_words(n):
+                node = root
+                while isinstance(node, Branch):
+                    node = dict(node.edges)[int(w[node.position - 1])]
+                assert node.label == ("1" if lang.contains(w) else "0"), (lang.name, w)
 
 
 def test_membership_trees_validate(corpus):

@@ -491,6 +491,46 @@ def test_unknown_measure_is_usage_error(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["depths", "L3", "-n", "3", "--max-n", "0"],
+        ["depths", "L3", "-n", "3", "--max-n", "-1"],
+        ["depths", "L3", "-n", "3", "--max-slice", "0"],
+        ["build-tree", "L3", "-n", "3", "--algorithm", "exact", "--max-n", "0"],
+        ["build-tree", "L3", "-n", "3", "--algorithm", "exact", "--max-slice", "-5"],
+    ],
+)
+def test_cap_flags_below_one_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    assert "must be at least 1" in capsys.readouterr().err
+
+
+def test_non_integer_cap_flag_keeps_argparse_wording(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["depths", "L3", "-n", "3", "--max-slice", "many"])
+    assert err.value.code == 1
+    assert "argument --max-slice: invalid int value: 'many'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("role", ["language", "tree", "out"])
+def test_paths_under_a_regular_file_are_exit_2(tmp_path, capsys, role):
+    plain = tmp_path / "plain.txt"
+    plain.write_text("not a directory")
+    tree = tmp_path / "tree.json"
+    tree.write_text('{"children": [{"leaf": "000"}]}')
+    argv = {
+        "language": ["classify", str(plain / "x.json")],
+        "tree": ["validate", str(plain / "tree.json"), "L3", "-n", "3"],
+        "out": ["enumerate", "L3", "-n", "3", "--out", str(plain / "out.txt")],
+    }[role]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Not a directory" in err
+
+
 def test_out_files_are_written(tmp_path, capsys):
     out = tmp_path / "out.csv"
     code, _, _ = run(capsys, "depths", "L4", "-n", "1..3", "--out", str(out))

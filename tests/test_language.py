@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from subword_trees import (
+    DecisionTree,
     Language,
+    Leaf,
     LanguageSpecError,
     SliceAutomaton,
     all_words,
@@ -15,8 +17,9 @@ from subword_trees import (
     closure_to_antichain,
     is_subsequence,
     parse_language_spec,
+    validate_membership,
 )
-from subword_trees.language import index_masks
+from subword_trees.language import MAX_TABLE_N, CapExceeded, index_masks
 from subword_trees.oracle import brute_slice
 
 from conftest import small_languages, words_up_to
@@ -292,6 +295,38 @@ def test_truth_table_matches_strings():
 @settings(max_examples=25, deadline=None)
 def test_truth_table_matches_strings_on_drawn_antichains(words):
     assert_truth_table_matches_strings(Language.from_forbidden("drawn", words))
+
+
+def test_truth_table_is_capped_at_table_width():
+    L1 = bundled_language("L1")
+    with pytest.raises(CapExceeded, match="capped at n <= 20"):
+        L1.automaton().truth_table(MAX_TABLE_N + 1)
+    # the library validator reads the table, so it stops there too
+    with pytest.raises(CapExceeded, match="capped at n <= 20"):
+        validate_membership(DecisionTree((Leaf("1"),)), L1, 30)
+
+
+# -- slice columns against a per-word construction --------------------------------
+
+
+def assert_columns_match_words(lang, n):
+    words, cols = lang.slice_columns(n)
+    assert words == lang.slice(n)
+    assert len(cols) == n
+    for p in range(1, n + 1):
+        want = sum(1 << i for i, w in enumerate(words) if w[p - 1] == "1")
+        assert cols[p - 1] == want, (lang.obstructions, n, p)
+
+
+def test_slice_columns_match_per_word_construction():
+    for lang in small_languages() + [
+        Language.from_forbidden("stress", ["001", "010", "0111"]),
+        Language.from_forbidden("empty", [""]),
+        Language.from_forbidden("full", []),
+    ]:
+        for n in range(0, 13):
+            assert_columns_match_words(lang, n)
+    assert_columns_match_words(bundled_language("L3"), 1000)
 
 
 def test_index_masks_match_division_formula():

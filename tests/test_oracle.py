@@ -486,6 +486,18 @@ def test_depth_profile_constructed_cells():
     assert profile.rows[0].values["rd"] is None
 
 
+def test_depth_profile_max_n_caps_both_problems():
+    L3 = bundled_language("L3")
+    (row,) = depth_profile(L3, 3, 3, max_n=2).rows
+    assert set(row.sources.values()) == {"SKIPPED"}
+    # None keeps each problem's own cap: 16 for recognition, 14 for membership
+    (row,) = depth_profile(L3, 15, 15, measures=("rd", "md")).rows
+    assert (row.sources["rd"], row.sources["md"]) == ("EXACT", "SKIPPED")
+    (row,) = depth_profile(L3, 15, 15, measures=("rd", "md"), max_n=15).rows
+    assert (row.sources["rd"], row.sources["md"]) == ("EXACT", "EXACT")
+    assert row.values["md"] == membership_depth_det(L3, 15, max_n=15)
+
+
 def test_depth_profile_rejects_bad_input():
     L3 = bundled_language("L3")
     with pytest.raises(ValueError):
