@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .dimensions import INFINITY, homogeneity_dimension, slice_size_bound
-from .language import ALPHABET, Language
+from .language import ALPHABET, Language, agreeing
 from .oracle import greedy_hitting_set, min_hitting_set
 from .trees import (
     Ask,
@@ -341,14 +341,11 @@ def tree_from_certificates(
         extra = sorted(set(certs) - set(words))[:1]
         detail = f"missing {missing[0]!r}" if missing else f"not in slice: {extra[0]!r}"
         raise CertificateError(f"certificate map does not match the slice ({detail})")
-    everything = (1 << len(words)) - 1
     for i, w in enumerate(words):
-        agree = everything ^ 1 << i  # the other members that agree with w on certs[w]
         for p in certs[w]:
             if not 1 <= p <= n:
                 raise CertificateError(f"certificate for {w!r} has position {p}, outside 1..{n}")
-            agree &= cols[p - 1] if w[p - 1] == "1" else cols[p - 1] ^ everything
-        if agree:
+        if agree := agreeing(words, cols, i, certs[w]):
             u = words[(agree & -agree).bit_length() - 1]
             raise CertificateError(f"certificate for {w!r} does not separate it from {u!r}")
     children = tuple(chain(w, certs[w], w) for w in words)

@@ -140,11 +140,9 @@ class Language:
         return self.automaton().iter_words(n)
 
     def slice_columns(self, n: int) -> tuple[list[str], list[int]]:
-        """The slice in lexicographic order and its columns as word sets: bit
-        i of ``cols[p - 1]`` is set iff ``words[i]`` has a 1 at position p."""
+        """The slice in lexicographic order and its ``word_columns``."""
         words = self.slice(n)
-        letters = "".join(words)  # column p - 1 of the word matrix is letters[p - 1::n]
-        return words, [int(letters[p::n][::-1] or "0", 2) for p in range(n)]
+        return words, word_columns(words, n)
 
     def count_slice(self, n: int) -> int:
         """``len(slice(n))`` computed by dynamic programming, without enumeration."""
@@ -153,6 +151,25 @@ class Language:
     def first_slice_word(self, n: int) -> str | None:
         """Lexicographically least member of length ``n``, or None."""
         return self.automaton().first_word(n)
+
+
+def word_columns(words: list[str], n: int) -> list[int]:
+    """The columns of a list of length-n words as word sets: bit i of
+    ``cols[p - 1]`` is set iff ``words[i]`` has a 1 at position p."""
+    letters = "".join(words)  # column p - 1 of the word matrix is letters[p - 1::n]
+    return [int(letters[p::n][::-1] or "0", 2) for p in range(n)]
+
+
+def agreeing(words: list[str], cols: list[int], i: int, positions: Iterable[int]) -> int:
+    """The word set of the members other than ``words[i]`` that agree with it
+    at every one of the 1-based ``positions``: one AND of a column, or of its
+    complement, per position.  Empty iff the positions separate ``words[i]``."""
+    w = words[i]
+    everything = (1 << len(words)) - 1
+    agree = everything ^ 1 << i
+    for p in positions:
+        agree &= cols[p - 1] if w[p - 1] == "1" else cols[p - 1] ^ everything
+    return agree
 
 
 @lru_cache(maxsize=None)

@@ -1,11 +1,14 @@
 """Exact brute-force oracles for the four depth measures, plus depth profiles.
 
 Recognition depths come from a memoized minimax over the consistent member
-subsets reachable by splitting queries, and from exact hitting-set search for
-the separating certificates.  The minimax stops a subset early once a split
-meets a lower bound: ``ceil(log2 |S|)``, or the sensitivity of S, the most
-Hamming neighbours inside S that one member has (a tree must query each
-position whose flip stays in S; D >= s in the decision-tree literature).
+subsets reachable by splitting queries, and from the separating certificates:
+sensitive positions first, hitting-set search as fallback.  A word's
+certificate must hold every position whose flip stays in the slice, and those
+positions alone almost always separate it.  The minimax stops a subset early
+once a split meets a lower bound: ``ceil(log2 |S|)``, or the sensitivity of
+S, the most Hamming neighbours inside S that one member has (a tree must
+query each position whose flip stays in S; D >= s in the decision-tree
+literature).
 Membership depths work on the truth table of the slice indicator, one big
 int with a bit per length-n word: ``md`` is a minimax memoized on the
 restricted subfunction, so partial assignments with equal restrictions share
@@ -20,9 +23,18 @@ approximating, and no ``max_n`` lifts membership past ``MAX_TABLE_N``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .dimensions import MEASURES
-from .language import MAX_TABLE_N, CapExceeded, Language, index_masks, require_word
+from .language import (
+    MAX_TABLE_N,
+    CapExceeded,
+    Language,
+    agreeing,
+    index_masks,
+    require_word,
+    word_columns,
+)
 from .trees import Branch, DecisionTree, Leaf
 
 MAX_BRUTE_N = 22
@@ -156,10 +168,8 @@ def _recognition_minimax(lang, n, max_n, max_slice):
         """max(lower, sensitivity of S), stopping early once it reaches cap."""
         nonlocal max_degree
         if not nbr:  # built on first use: slices where log2 is tight never need it
-            ints = [int(w, 2) for w in words]
-            index = {x: idx for idx, x in enumerate(ints)}
-            for x in ints:
-                nbr.append(sum(1 << j for p in range(n) if (j := index.get(x ^ 1 << p)) is not None))
+            for flips in _one_letter_flips([int(w, 2) for w in words], n):
+                nbr.append(sum(1 << j for _, j in flips))
             max_degree = max(m.bit_count() for m in nbr)
         if max_degree <= lower:
             return lower  # no subset of this slice is more sensitive than that
@@ -225,36 +235,67 @@ def optimal_recognition_tree(
     return DecisionTree((build((1 << len(words)) - 1),))
 
 
+def _one_letter_flips(ints: list[int], n: int) -> Iterator[list[tuple[int, int]]]:
+    """For each word of ``ints`` in turn, the pairs (b, j) such that flipping
+    index bit b of the word gives ``ints[j]``: one lookup per position."""
+    index = {x: j for j, x in enumerate(ints)}
+    for x in ints:
+        yield [(b, j) for b in range(n) if (j := index.get(x ^ 1 << b)) is not None]
+
+
 def _difference_masks(ints: list[int], i: int) -> list[int]:
     x = ints[i]
     return [x ^ y for j, y in enumerate(ints) if j != i]
 
 
-def recognition_certificates(
-    lang: Language, n: int, max_n: int = MAX_RECOGNITION_N, max_slice: int = MAX_SLICE
-) -> dict[str, tuple[int, ...]]:
-    """Exact minimum separating position set for every slice word."""
+def _recognition_certificates(
+    lang: Language, n: int, max_n: int, max_slice: int
+) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Yields each slice word with its minimum separating position set.
+
+    Sensitive positions first, hitting-set search as fallback.  Every
+    certificate of w holds each position whose flip keeps w in the slice
+    (C(f, x) >= s(f, x)), and those positions alone almost always separate
+    w from the rest of the slice.  Then they are the answer, and it is the
+    one ``min_hitting_set`` would return: every difference mask contains one
+    of their singletons, so its superset pruning keeps only those, its greedy
+    bound takes all of them and its search cannot do better.  Otherwise the
+    word gets the exact search over all its difference masks.  The slice
+    columns for the separation check are built only once a word has fewer
+    than n sensitive positions, since all n positions separate any word.
+    """
     _check_recognition_caps(lang, n, max_n, max_slice)
     words = lang.slice(n)
     ints = [int(w, 2) for w in words]
-    out: dict[str, tuple[int, ...]] = {}
-    for i, w in enumerate(words):
-        chosen = min_hitting_set(_difference_masks(ints, i))
-        out[w] = tuple(sorted(n - b for b in range(n) if chosen >> b & 1))
-    return out
+    cols: list[int] = []
+    for i, flips in enumerate(_one_letter_flips(ints, n)):
+        positions = [n - b for b, _ in reversed(flips)]
+        if len(positions) < n:
+            cols = cols or word_columns(words, n)
+            if agreeing(words, cols, i, positions):
+                chosen = min_hitting_set(_difference_masks(ints, i))
+                positions = [n - b for b in range(n - 1, -1, -1) if chosen >> b & 1]
+        yield words[i], tuple(positions)
+
+
+def recognition_certificates(
+    lang: Language, n: int, max_n: int = MAX_RECOGNITION_N, max_slice: int = MAX_SLICE
+) -> dict[str, tuple[int, ...]]:
+    """Exact minimum separating position set for every slice word, in slice
+    order: sensitive positions first, hitting-set search as fallback."""
+    return dict(_recognition_certificates(lang, n, max_n, max_slice))
 
 
 def recognition_depth_nondet(
     lang: Language, n: int, max_n: int = MAX_RECOGNITION_N, max_slice: int = MAX_SLICE
 ) -> int:
-    """Largest over slice words of the minimum separating-set size (exact)."""
-    _check_recognition_caps(lang, n, max_n, max_slice)
-    ints = [int(w, 2) for w in lang.slice(n)]
+    """Largest over slice words of the minimum separating-set size (exact):
+    sensitive positions first, hitting-set search as fallback."""
     best = 0
-    for i in range(len(ints)):
+    for _, positions in _recognition_certificates(lang, n, max_n, max_slice):
+        best = max(best, len(positions))
         if best == n:
             break  # no certificate can need more than every position
-        best = max(best, min_hitting_set(_difference_masks(ints, i)).bit_count())
     return best
 
 

@@ -1,16 +1,22 @@
-"""Reference recognition minimax for differential tests.
+"""Reference recognition oracles for differential tests.
 
-This is the subset-bitmask minimax that ``subword_trees.oracle`` used before
-it gained the sensitivity lower bound: a subset stops early only once it
-reaches the ``ceil(log2 |S|)`` bound, so it visits nearly every reachable
+The minimax is the subset-bitmask search that ``subword_trees.oracle`` used
+before it gained the sensitivity lower bound: a subset stops early only once
+it reaches the ``ceil(log2 |S|)`` bound, so it visits nearly every reachable
 subset when the optimum is far above that bound.  It tries positions in the
 same ascending order and keeps the first optimal one, so its replayed tree is
 the one the production oracle must reproduce node for node.
+
+The certificates are the per-word search the oracle used before it read
+them off the sensitive positions: one exact hitting-set search per word over
+its difference masks with every other member, so the production oracle must
+return the identical tuples.
 """
 
 from __future__ import annotations
 
 from subword_trees.language import Language
+from subword_trees.oracle import min_hitting_set
 from subword_trees.trees import Branch, DecisionTree, Leaf
 
 
@@ -72,3 +78,19 @@ def reference_optimal_recognition_tree(lang: Language, n: int) -> DecisionTree:
         return Branch(p + 1, ((0, build(s0)), (1, build(S ^ s0))))
 
     return DecisionTree((build((1 << len(words)) - 1),))
+
+
+def reference_recognition_certificates(lang: Language, n: int) -> dict[str, tuple[int, ...]]:
+    """Minimum separating position set for every slice word, each by its own
+    hitting-set search over all |L(n)| - 1 difference masks."""
+    words = lang.slice(n)
+    ints = [int(w, 2) for w in words]
+    out: dict[str, tuple[int, ...]] = {}
+    for w, x in zip(words, ints):
+        chosen = min_hitting_set([x ^ y for y in ints if y != x])
+        out[w] = tuple(sorted(n - b for b in range(n) if chosen >> b & 1))
+    return out
+
+
+def reference_recognition_depth_nondet(lang: Language, n: int) -> int:
+    return max(map(len, reference_recognition_certificates(lang, n).values()), default=0)

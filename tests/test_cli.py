@@ -261,6 +261,24 @@ def test_build_tree_exact_nondet_membership(tmp_path, capsys):
     assert code == 0
 
 
+def test_build_tree_exact_nondet_recognition_at_slice_cap(tmp_path, capsys):
+    # L2 at n = 12 is the 4096-word slice at the default cap: one exact
+    # certificate per word, each read off its sensitive positions
+    out_path = tmp_path / "r.json"
+    code, _, err = run(
+        capsys, "build-tree", "L2", "-n", "12", "--problem", "recognition",
+        "--mode", "nondet", "--algorithm", "exact", "--out", str(out_path),
+    )
+    assert code == 0, err
+    code, out, err = run(
+        capsys, "validate", str(out_path), "L2", "-n", "12",
+        "--problem", "recognition", "--mode", "nondet",
+    )
+    assert code == 0, (out, err)
+    tree = tree_from_json(out_path.read_text())
+    assert len(tree.root_children) == 4096 and tree.depth() == 12
+
+
 def test_build_tree_dot_export(tmp_path, capsys):
     out_path = tmp_path / "t.json"
     dot_path = tmp_path / "t.dot"

@@ -14,12 +14,15 @@ from reference_membership import (
 )
 from reference_recognition import (
     reference_optimal_recognition_tree,
+    reference_recognition_certificates,
     reference_recognition_depth_det,
+    reference_recognition_depth_nondet,
 )
 
 from subword_trees import (
     Language,
     bundled_language,
+    oracle,
     validate_membership,
     validate_recognition,
 )
@@ -41,7 +44,7 @@ from subword_trees.oracle import (
     recognition_depth_nondet,
 )
 
-from conftest import small_languages
+from conftest import random_antichains, small_languages
 
 
 # -- naive reference oracles ---------------------------------------------------
@@ -141,6 +144,15 @@ def test_membership_oracles_match_naive(n):
         assert membership_depth_nondet(lang, n) == naive_h_ma(lang, n), lang.name
 
 
+@given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_membership_depths_are_ordered_on_drawn_antichains(words):
+    lang = Language.from_forbidden("drawn", words)
+    for n in range(1, 8):
+        ma, md = membership_depth_nondet(lang, n), membership_depth_det(lang, n)
+        assert ma <= md <= n, (lang.obstructions, n, ma, md)
+
+
 # -- truth-table membership oracles against the partial-assignment reference ---
 
 
@@ -236,6 +248,38 @@ def test_recognition_minimax_matches_reference_on_drawn_antichains(words):
     lang = Language.from_forbidden("drawn", words)
     for n in range(1, 11):
         assert_recognition_matches_reference(lang, n)
+
+
+# -- certificates from sensitive positions against the per-word search ----------
+
+
+def assert_recognition_certificates_match_reference(lang, n):
+    where = (lang.name, lang.obstructions, n)
+    certs = recognition_certificates(lang, n)
+    # items, not sizes: the same words in the same order with the same tuples
+    assert list(certs.items()) == list(reference_recognition_certificates(lang, n).items()), where
+    assert recognition_depth_nondet(lang, n) == reference_recognition_depth_nondet(lang, n), where
+
+
+def test_recognition_certificates_match_reference(monkeypatch):
+    search, fallbacks = oracle.min_hitting_set, []
+
+    def counted_search(masks):
+        fallbacks.append(len(masks))
+        return search(masks)
+
+    monkeypatch.setattr(oracle, "min_hitting_set", counted_search)
+    langs = recognition_differential_languages() + [
+        Language.from_forbidden(f"seeded-{i}", ws)
+        for i, ws in enumerate(random_antichains(30, 4, seed=23))
+    ]
+    for lang in langs:
+        for n in range(1, 11):
+            if lang.count_slice(n) <= 256:  # the reference is quadratic in the slice
+                assert_recognition_certificates_match_reference(lang, n)
+    # Avoid{001,010,0111} has words whose sensitive positions do not
+    # separate them from n = 3 on, so the hitting-set fallback is covered
+    assert fallbacks
 
 
 def slice_sensitivity(words):
@@ -401,6 +445,20 @@ def test_recognition_certificates_are_minimal_and_separating(corpus):
                 for u in words:
                     if u != w:
                         assert any(u[p - 1] != w[p - 1] for p in positions)
+
+
+@given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_sensitive_positions_lie_in_every_recognition_certificate(words):
+    # a certificate that left out a position whose flip stays in the slice
+    # would not separate the word from that neighbour
+    lang = Language.from_forbidden("drawn", words)
+    flip = {"0": "1", "1": "0"}
+    for n in range(1, 10):
+        for w, positions in recognition_certificates(lang, n).items():
+            flips = {p: w[: p - 1] + flip[w[p - 1]] + w[p:] for p in range(1, n + 1)}
+            sensitive = {p for p, u in flips.items() if lang.contains(u)}
+            assert sensitive <= set(positions), (lang.obstructions, w, positions)
 
 
 def test_membership_certificate_single_words():
