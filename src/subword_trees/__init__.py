@@ -48,7 +48,6 @@ from .oracle import (
     CapExceeded,
     DepthProfile,
     ProfileRow,
-    brute_slice,
     depth_profile,
     membership_certificate,
     membership_certificates,

@@ -405,10 +405,9 @@ def membership_tree(lang: Language, n: int) -> DecisionTree:
     ``format(x, f"0{n}b")``, and the branches at position p pair the nodes
     whose words differ only there.  Leaves with one label are one object.
     """
-    if lang.count_slice(n) == 0:
-        return DecisionTree((Leaf("0"),))
-    if not lang.obstructions:
-        return DecisionTree((Leaf("1"),))
+    count = lang.count_slice(n)
+    if count in (0, 1 << n):
+        return DecisionTree((Leaf("1" if count else "0"),))
     table = lang.automaton().truth_table(n)
     leaves = {"0": Leaf("0"), "1": Leaf("1")}
     level = [leaves[c] for c in format(table, f"0{1 << n}b")[::-1]]

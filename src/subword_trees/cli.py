@@ -168,13 +168,10 @@ def cmd_classify(args) -> int:
 
 def cmd_enumerate(args) -> int:
     lang = _resolve_language(args.language)
-    n = args.n
-    if n < 1:
-        raise UsageError("-n must be at least 1")
     if args.count_only:
-        _write_out(str(lang.count_slice(n)), args.out)
+        _write_out(str(lang.count_slice(args.n)), args.out)
         return EXIT_OK
-    _write_out("\n".join(lang.slice(n)), args.out)
+    _write_out("\n".join(lang.slice(args.n)), args.out)
     return EXIT_OK
 
 
@@ -273,11 +270,7 @@ def _build_tree(args, lang: Language, n: int) -> DecisionTree | dict:
 
 
 def cmd_build_tree(args) -> int:
-    lang = _resolve_language(args.language)
-    n = args.n
-    if n < 1:
-        raise UsageError("-n must be at least 1")
-    result = _build_tree(args, lang, n)
+    result = _build_tree(args, _resolve_language(args.language), args.n)
     if isinstance(result, dict):
         _write_out(json.dumps(result, indent=2), args.out)
         return EXIT_OK
@@ -291,19 +284,6 @@ def cmd_build_tree(args) -> int:
 def cmd_validate(args) -> int:
     lang = _resolve_language(args.language)
     n = args.n
-    if n < 1:
-        raise UsageError("-n must be at least 1")
-    if args.problem == "membership" and n > oracle.MAX_TABLE_N:
-        # the membership validator walks all 2^n words
-        raise oracle.CapExceeded(
-            f"membership validation capped at n <= {oracle.MAX_TABLE_N}, got {n}"
-        )
-    if args.problem == "recognition" and lang.count_slice(n) > oracle.MAX_SLICE:
-        # the recognition validator walks the whole slice
-        raise oracle.CapExceeded(
-            f"recognition validation capped at slices of <= {oracle.MAX_SLICE} words, "
-            f"got {lang.name}({n})"
-        )
     with open(args.tree, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
@@ -340,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="List or count the slice of one length.")
     p.add_argument("language")
-    p.add_argument("-n", "--n", type=int, required=True, dest="n")
+    p.add_argument("-n", "--n", type=_positive_int, required=True, dest="n")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_enumerate)
@@ -364,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build-tree", help="Construct a tree and write its JSON document.")
     p.add_argument("language")
-    p.add_argument("-n", "--n", type=int, required=True, dest="n")
+    p.add_argument("-n", "--n", type=_positive_int, required=True, dest="n")
     p.add_argument("--problem", choices=("recognition", "membership"), default="recognition")
     p.add_argument("--mode", choices=(DET, NONDET), default=DET)
     p.add_argument(
@@ -382,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="Check a tree document against a language slice.")
     p.add_argument("tree", help="tree JSON document")
     p.add_argument("language")
-    p.add_argument("-n", "--n", type=int, required=True, dest="n")
+    p.add_argument("-n", "--n", type=_positive_int, required=True, dest="n")
     p.add_argument("--problem", choices=("recognition", "membership"), default="recognition")
     p.add_argument("--mode", choices=(DET, NONDET), default=DET)
     p.set_defaults(func=cmd_validate)

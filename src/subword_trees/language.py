@@ -23,6 +23,7 @@ BUNDLED_NAMES = ("L1", "L2", "L3", "L4", "L5")
 # generator, so its time grows about fourfold per two more letters
 MAX_GENERATOR_LENGTH = 16
 MAX_TABLE_N = 20  # membership truth tables: 2^20 bits is 128 KiB
+MAX_SLICE = 4096  # recognition searches and validation walk the whole slice
 
 
 class LanguageSpecError(ValueError):
@@ -150,7 +151,7 @@ class Language:
 
     def first_slice_word(self, n: int) -> str | None:
         """Lexicographically least member of length ``n``, or None."""
-        return self.automaton().first_word(n)
+        return next(self.iter_slice(n), None)
 
 
 def word_columns(words: list[str], n: int) -> list[int]:
@@ -190,7 +191,7 @@ class SliceAutomaton:
     ``count_words`` counts the slice forward; ``_backward`` builds the one
     backward table of states that can still reach the wanted end, which
     ``find_consistent`` walks to the lexicographically least witness
-    (``exists_consistent`` and ``first_word`` ask it); ``iter_words`` lists
+    (``exists_consistent`` asks it); ``iter_words`` lists
     the slice one letter run at a time, pruned by that table; and
     ``truth_table`` builds the slice indicator bottom up, one table per state
     and length.  Every pass raises ``ValueError`` for a negative length.
@@ -358,10 +359,6 @@ class SliceAutomaton:
         """Is there a length-n word matching ``assignment`` that is a member (or, if
         ``member`` is false, a non-member)?"""
         return self.find_consistent(n, assignment, member) is not None
-
-    def first_word(self, n: int) -> str | None:
-        """Lexicographically least member of length ``n``, or None."""
-        return self.find_consistent(n, {}, member=True)
 
 
 @lru_cache(maxsize=None)  # one entry per table width

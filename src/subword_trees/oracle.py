@@ -27,6 +27,7 @@ from typing import Iterator
 
 from .dimensions import MEASURES
 from .language import (
+    MAX_SLICE,
     MAX_TABLE_N,
     CapExceeded,
     Language,
@@ -37,23 +38,8 @@ from .language import (
 )
 from .trees import Branch, DecisionTree, Leaf
 
-MAX_BRUTE_N = 22
 MAX_RECOGNITION_N = 16
-MAX_SLICE = 4096
 MAX_MEMBERSHIP_N = 14
-
-
-def brute_slice(lang: Language, n: int, max_n: int = MAX_BRUTE_N) -> list[str]:
-    """Ground-truth slice: filter all 2^n words by the membership predicate.
-
-    Deliberately independent of the counting automaton used by
-    ``Language.slice``; this is the oracle the automaton is checked against.
-    """
-    if n > max_n:
-        raise CapExceeded(f"brute_slice capped at n <= {max_n}, got {n}")
-    if n == 0:
-        return [""] if lang.contains("") else []
-    return [w for i in range(1 << n) if lang.contains(w := format(i, f"0{n}b"))]
 
 
 # ---------------------------------------------------------------------------

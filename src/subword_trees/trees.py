@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
-from .language import Language, index_masks
+from .language import MAX_SLICE, CapExceeded, Language, index_masks
 
 DET = "det"
 NONDET = "nondet"
@@ -204,8 +204,14 @@ def validate_recognition(
     every slice word is accepted by some complete path, and every path
     accepting a slice word ends with exactly that word.  ``det`` mode adds the
     structural single-root-child and distinct-edge-bits requirements.  The
-    universe is the slice in lexicographic order.
+    universe is the slice in lexicographic order; a slice of more than
+    ``MAX_SLICE`` words raises ``CapExceeded``.
     """
+    if lang.count_slice(n) > MAX_SLICE:
+        raise CapExceeded(
+            f"recognition validation capped at slices of <= {MAX_SLICE} words, "
+            f"got {lang.name}({n})"
+        )
     words, cols = lang.slice_columns(n)
     index = {w: i for i, w in enumerate(words)}
     everything = (1 << len(words)) - 1

@@ -6,6 +6,9 @@ table with one explicit stack frame per prefix letter, pruned only at the dead
 state, joining every word from scratch.  It walks O(n * |L(n)|) trie nodes,
 which is what makes it a simple, independent check.
 
+``brute_slice`` is the ground-truth slice: a filter of all 2^n words by the
+membership predicate, independent of the automaton.
+
 ``string_truth_table`` and ``division_index_masks`` are how the membership
 oracle built its truth table and index masks before ``SliceAutomaton`` took
 them over: the table from the slice's word strings, the masks from one
@@ -16,7 +19,18 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from subword_trees.language import ALPHABET, Language, SliceAutomaton
+from subword_trees.language import ALPHABET, CapExceeded, Language, SliceAutomaton
+
+MAX_BRUTE_N = 22
+
+
+def brute_slice(lang: Language, n: int, max_n: int = MAX_BRUTE_N) -> list[str]:
+    """Ground-truth slice: filter all 2^n words by the membership predicate."""
+    if n > max_n:
+        raise CapExceeded(f"brute_slice capped at n <= {max_n}, got {n}")
+    if n == 0:
+        return [""] if lang.contains("") else []
+    return [w for i in range(1 << n) if lang.contains(w := format(i, f"0{n}b"))]
 
 
 def string_truth_table(lang: Language, n: int) -> int:

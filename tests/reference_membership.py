@@ -15,8 +15,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from subword_trees.language import Language
-from subword_trees.oracle import brute_slice, greedy_hitting_set, min_hitting_set
+from subword_trees.oracle import greedy_hitting_set, min_hitting_set
 from subword_trees.trees import Branch, DecisionTree, Leaf
+
+from reference_language import brute_slice
 
 
 def reference_membership_minimax(lang: Language, n: int):

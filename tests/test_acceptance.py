@@ -26,7 +26,6 @@ from subword_trees import (
 )
 from subword_trees.dimensions import CLASS_PREDICTIONS
 from subword_trees.oracle import (
-    brute_slice,
     membership_depth_det,
     membership_depth_nondet,
     recognition_depth_det,
@@ -34,6 +33,7 @@ from subword_trees.oracle import (
 )
 
 from conftest import corpus, iter_antichains, random_antichains
+from reference_language import brute_slice
 
 CORPUS = corpus()
 BY_NAME = {lang.name: lang for lang in CORPUS}

@@ -496,6 +496,14 @@ def test_membership_tree_examples():
 
     assert membership_tree(bundled_language("L2"), 9) == DecisionTree((Leaf("1"),))
     assert membership_tree(bundled_language("L5"), 4) == DecisionTree((Leaf("0"),))
+    # every word is a member although the language has obstructions: md = 0
+    for lang, n in [
+        (bundled_language("L1"), 1),
+        (Language.from_forbidden("x", ["1111"]), 3),
+        (Language.from_forbidden("x", ["001", "010", "0111"]), 2),
+    ]:
+        assert membership_tree(lang, n) == DecisionTree((Leaf("1"),)), (lang.obstructions, n)
+        assert membership_depth_det(lang, n) == 0
     tree = membership_tree(bundled_language("L1"), 2)
     assert tree.depth() == 2
     assert validate_membership(tree, bundled_language("L1"), 2, "det") is None

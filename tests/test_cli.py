@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -406,15 +409,6 @@ def test_validate_rejects_bool_and_float_positions_and_bits(tmp_path, capsys, qu
     assert "must be" in err
 
 
-@pytest.mark.parametrize("n", ["0", "-1"])
-def test_validate_rejects_lengths_below_one(tmp_path, capsys, n):
-    path = tmp_path / "tree.json"
-    path.write_text(tree_to_json(optimal_recognition_tree(bundled_language("L1"), 2)))
-    code, _, err = run(capsys, "validate", str(path), "L1", "-n", n)
-    assert code == 1
-    assert "at least 1" in err
-
-
 @pytest.mark.parametrize("n", ["21", "40"])
 def test_validate_membership_past_table_width_is_exit_3(tmp_path, capsys, n):
     # the membership validator walks all 2^n words, so n is capped before the walk
@@ -517,6 +511,12 @@ def test_unknown_measure_is_usage_error(capsys):
         ["depths", "L3", "-n", "3", "--max-slice", "0"],
         ["build-tree", "L3", "-n", "3", "--algorithm", "exact", "--max-n", "0"],
         ["build-tree", "L3", "-n", "3", "--algorithm", "exact", "--max-slice", "-5"],
+        ["enumerate", "L3", "-n", "0"],
+        ["enumerate", "L3", "-n", "-1"],
+        ["build-tree", "L3", "-n", "0"],
+        ["build-tree", "L3", "-n", "-1"],
+        ["validate", "tree.json", "L3", "-n", "0"],
+        ["validate", "tree.json", "L3", "-n", "-1"],
     ],
 )
 def test_cap_flags_below_one_are_usage_errors(capsys, argv):
@@ -554,3 +554,21 @@ def test_out_files_are_written(tmp_path, capsys):
     code, _, _ = run(capsys, "depths", "L4", "-n", "1..3", "--out", str(out))
     assert code == 0
     assert out.read_text().startswith("language,n,")
+
+
+def readme_commands():
+    """The ``subword-trees`` lines of the README's ``sh`` blocks, comments cut."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", readme, flags=re.M | re.S)
+    lines = [line for block in blocks for line in block.splitlines()]
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("subword-trees ")]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # the README's CLI examples, in order: build-tree writes what validate reads
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert commands
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
+from reference_language import brute_slice
 from reference_membership import (
     reference_membership_certificate,
     reference_membership_depth_det,
@@ -29,7 +30,6 @@ from subword_trees import (
 from subword_trees.oracle import (
     MAX_TABLE_N,
     CapExceeded,
-    brute_slice,
     depth_profile,
     greedy_hitting_set,
     membership_certificate,

@@ -24,6 +24,7 @@ from subword_trees import (
     validate_membership,
     validate_recognition,
 )
+from subword_trees.language import MAX_SLICE, CapExceeded
 from subword_trees.oracle import (
     membership_certificates,
     optimal_membership_tree,
@@ -143,6 +144,23 @@ def test_position_out_of_range_raises():
     tree = DecisionTree((Branch(4, ((0, Leaf("000")), (1, Leaf("111")))),))
     with pytest.raises(TreeFormatError):
         validate_recognition(tree, L3, 3, "det")
+
+
+def test_recognition_validation_is_capped_at_max_slice():
+    # L2 is every word: |L2(12)| = 4096 is still walked, |L2(13)| is not
+    L2 = bundled_language("L2")
+    assert L2.count_slice(12) == MAX_SLICE
+
+    def read(prefix):
+        if len(prefix) == 12:
+            return Leaf(prefix)
+        return Branch(len(prefix) + 1, ((0, read(prefix + "0")), (1, read(prefix + "1"))))
+
+    assert validate_recognition(DecisionTree((read(""),)), L2, 12) is None
+    leaf = DecisionTree((Leaf("1"),))
+    assert validate_recognition(leaf, L2, 12).bullet == 1
+    with pytest.raises(CapExceeded, match="slices of <= 4096 words, got L2[(]13[)]"):
+        validate_recognition(leaf, L2, 13)
 
 
 def test_contradictory_repeated_query_accepts_nothing():
