@@ -175,36 +175,40 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _paper_rd(lang: Language, n: int, max_slice: int) -> int | None:
+    """Measured worst-case query count of the block strategy over the slice;
+    None when the strategy does not apply or the slice exceeds ``max_slice``."""
+    try:
+        strategy = builders.block_recognition_strategy(lang, n)
+    except builders.BuilderPreconditionError:
+        return None
+    return builders.worst_case_queries(lang, strategy, max_slice)
+
+
 def cmd_depths(args) -> int:
     lo, hi = _parse_range(args.n)
     measures = _parse_measures(args.measures)
     if args.algorithm == "paper" and "rd" not in measures:
         raise UsageError("--algorithm paper only applies to the rd measure")
-    profiles = []
-    for path in args.language:
-        lang = _resolve_language(path)
-        report = classify(lang)
-        profile = oracle.depth_profile(
-            lang,
-            lo,
-            hi,
-            measures=measures,
-            allow_constructed=args.algorithm == "paper",
-            max_n=args.max_n,
-            max_slice=args.max_slice,
-        )
-        profiles.append((report, profile))
     header = ["language", "n", "h_rd", "h_ra", "h_md", "h_ma", "class"] + [
         f"source_{m}" for m in MEASURES
     ]
     table = []
-    for report, profile in profiles:
+    for path in args.language:
+        lang = _resolve_language(path)
+        class_index = classify(lang).class_index
+        profile = oracle.depth_profile(lang, lo, hi, measures, args.max_n, args.max_slice)
         for row in profile.rows:
+            values, sources = dict(row.values), dict(row.sources)
+            if args.algorithm == "paper" and sources["rd"] == oracle.SKIPPED:
+                worst = _paper_rd(lang, row.n, args.max_slice)
+                if worst is not None:
+                    values["rd"], sources["rd"] = worst, "CONSTRUCTED"
             table.append(
                 [profile.name, row.n]
-                + ["" if row.values[m] is None else row.values[m] for m in MEASURES]
-                + [report.class_index]
-                + [row.sources[m] for m in MEASURES]
+                + ["" if values[m] is None else values[m] for m in MEASURES]
+                + [class_index]
+                + [sources[m] for m in MEASURES]
             )
     if args.format == "table":
         widths = [
@@ -233,10 +237,9 @@ def _build_tree(args, lang: Language, n: int) -> DecisionTree | dict:
     problem, mode, algorithm = args.problem, args.mode, args.algorithm
     if problem == "recognition":
         if algorithm == "exact":
-            max_n = args.max_n or oracle.MAX_RECOGNITION_N
             if mode == DET:
-                return oracle.optimal_recognition_tree(lang, n, max_n, args.max_slice)
-            certs = oracle.recognition_certificates(lang, n, max_n, args.max_slice)
+                return oracle.optimal_recognition_tree(lang, n, args.max_n, args.max_slice)
+            certs = oracle.recognition_certificates(lang, n, args.max_n, args.max_slice)
             return builders.tree_from_certificates(lang, n, certs)
         if mode == NONDET:
             certs = {w: builders.block_certificate(lang, n, w) for w in lang.iter_slice(n)}
@@ -259,8 +262,8 @@ def _build_tree(args, lang: Language, n: int) -> DecisionTree | dict:
     # membership
     if algorithm == "exact":
         if mode == DET:
-            return oracle.optimal_membership_tree(lang, n, args.max_n or oracle.MAX_MEMBERSHIP_N)
-        certs = oracle.membership_certificates(lang, n, args.max_n or oracle.MAX_MEMBERSHIP_N)
+            return oracle.optimal_membership_tree(lang, n, args.max_n)
+        certs = oracle.membership_certificates(lang, n, args.max_n)
         return DecisionTree(
             tuple(chain(w, cert, "1" if lang.contains(w) else "0") for w, cert in certs.items())
         )
@@ -272,6 +275,11 @@ def _build_tree(args, lang: Language, n: int) -> DecisionTree | dict:
 def cmd_build_tree(args) -> int:
     result = _build_tree(args, _resolve_language(args.language), args.n)
     if isinstance(result, dict):
+        if args.dot:
+            raise UsageError(
+                f"--dot needs a tree; --algorithm paper past n = {MATERIALIZE_LIMIT} "
+                "reports a query bound instead"
+            )
         _write_out(json.dumps(result, indent=2), args.out)
         return EXIT_OK
     _write_out(tree_to_json(result), args.out)

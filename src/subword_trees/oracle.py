@@ -17,7 +17,10 @@ sets of freed positions.  Membership certificates for single words come
 from a branch and bound on the same table: its witnesses and counts are the
 opposite class masked to a subcube.  Everything here is exhaustive and exact
 at desk scale; the caps raise ``CapExceeded`` rather than silently
-approximating, and no ``max_n`` lifts membership past ``MAX_TABLE_N``.
+approximating, ``max_n=None`` keeps each problem's default length cap, and no
+``max_n`` lifts membership past ``MAX_TABLE_N``.  Depth profiles hold EXACT
+and SKIPPED cells only; the CLI fills SKIPPED ``rd`` cells from the block
+strategy.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .language import (
     agreeing,
     index_masks,
     require_word,
-    word_columns,
 )
 from .trees import Branch, DecisionTree, Leaf
 
@@ -118,6 +120,8 @@ def min_hitting_set(masks: list[int]) -> int:
 
 
 def _check_recognition_caps(lang, n, max_n, max_slice):
+    if max_n is None:
+        max_n = MAX_RECOGNITION_N
     if not 1 <= n <= max_n:
         raise CapExceeded(f"recognition oracle capped at 1 <= n <= {max_n}, got {n}")
     if lang.count_slice(n) > max_slice:
@@ -197,14 +201,14 @@ def _recognition_minimax(lang, n, max_n, max_slice):
 
 
 def recognition_depth_det(
-    lang: Language, n: int, max_n: int = MAX_RECOGNITION_N, max_slice: int = MAX_SLICE
+    lang: Language, n: int, max_n: int | None = None, max_slice: int = MAX_SLICE
 ) -> int:
     """Minimum depth of a deterministic tree recognizing the slice (exact)."""
     return _recognition_minimax(lang, n, max_n, max_slice)[1]
 
 
 def optimal_recognition_tree(
-    lang: Language, n: int, max_n: int = MAX_RECOGNITION_N, max_slice: int = MAX_SLICE
+    lang: Language, n: int, max_n: int | None = None, max_slice: int = MAX_SLICE
 ) -> DecisionTree:
     """Depth-optimal deterministic recognition tree, replayed from the minimax."""
     words, _, choices, zero_mask = _recognition_minimax(lang, n, max_n, max_slice)
@@ -246,26 +250,23 @@ def _recognition_certificates(
     one ``min_hitting_set`` would return: every difference mask contains one
     of their singletons, so its superset pruning keeps only those, its greedy
     bound takes all of them and its search cannot do better.  Otherwise the
-    word gets the exact search over all its difference masks.  The slice
-    columns for the separation check are built only once a word has fewer
-    than n sensitive positions, since all n positions separate any word.
+    word gets the exact search over all its difference masks.  A word with n
+    sensitive positions skips the separation check: all n positions separate
+    any word.
     """
     _check_recognition_caps(lang, n, max_n, max_slice)
-    words = lang.slice(n)
+    words, cols = lang.slice_columns(n)
     ints = [int(w, 2) for w in words]
-    cols: list[int] = []
     for i, flips in enumerate(_one_letter_flips(ints, n)):
         positions = [n - b for b, _ in reversed(flips)]
-        if len(positions) < n:
-            cols = cols or word_columns(words, n)
-            if agreeing(words, cols, i, positions):
-                chosen = min_hitting_set(_difference_masks(ints, i))
-                positions = [n - b for b in range(n - 1, -1, -1) if chosen >> b & 1]
+        if len(positions) < n and agreeing(words, cols, i, positions):
+            chosen = min_hitting_set(_difference_masks(ints, i))
+            positions = [n - b for b in range(n - 1, -1, -1) if chosen >> b & 1]
         yield words[i], tuple(positions)
 
 
 def recognition_certificates(
-    lang: Language, n: int, max_n: int = MAX_RECOGNITION_N, max_slice: int = MAX_SLICE
+    lang: Language, n: int, max_n: int | None = None, max_slice: int = MAX_SLICE
 ) -> dict[str, tuple[int, ...]]:
     """Exact minimum separating position set for every slice word, in slice
     order: sensitive positions first, hitting-set search as fallback."""
@@ -273,7 +274,7 @@ def recognition_certificates(
 
 
 def recognition_depth_nondet(
-    lang: Language, n: int, max_n: int = MAX_RECOGNITION_N, max_slice: int = MAX_SLICE
+    lang: Language, n: int, max_n: int | None = None, max_slice: int = MAX_SLICE
 ) -> int:
     """Largest over slice words of the minimum separating-set size (exact):
     sensitive positions first, hitting-set search as fallback."""
@@ -295,7 +296,7 @@ def recognition_depth_nondet(
 
 
 def _check_membership_caps(n, max_n):
-    cap = min(max_n, MAX_TABLE_N)
+    cap = min(MAX_MEMBERSHIP_N if max_n is None else max_n, MAX_TABLE_N)
     if not 1 <= n <= cap:
         raise CapExceeded(f"membership oracle capped at 1 <= n <= {cap}, got {n}")
 
@@ -312,7 +313,7 @@ def _cofactor(t: int, masks: tuple[int, ...], j: int, bit: int) -> int:
     return t
 
 
-def _membership_minimax(lang: Language, n: int, max_n: int):
+def _membership_minimax(lang: Language, n: int, max_n: int | None):
     """Returns (truth table, optimal depth, choice per subfunction).
 
     The memo key is ``(k, table)`` for a subfunction over k free positions, so
@@ -355,13 +356,13 @@ def _membership_minimax(lang: Language, n: int, max_n: int):
     return table, h(n, table), choices
 
 
-def membership_depth_det(lang: Language, n: int, max_n: int = MAX_MEMBERSHIP_N) -> int:
+def membership_depth_det(lang: Language, n: int, max_n: int | None = None) -> int:
     """Minimum depth of a deterministic tree deciding slice membership (exact)."""
     return _membership_minimax(lang, n, max_n)[1]
 
 
 def optimal_membership_tree(
-    lang: Language, n: int, max_n: int = MAX_MEMBERSHIP_N
+    lang: Language, n: int, max_n: int | None = None
 ) -> DecisionTree:
     """Depth-optimal deterministic membership tree, replayed from the minimax."""
     table, _, choices = _membership_minimax(lang, n, max_n)
@@ -447,7 +448,7 @@ def _halves(n: int) -> list[tuple[int, int]]:
 
 
 def membership_certificates(
-    lang: Language, n: int, max_n: int = MAX_MEMBERSHIP_N
+    lang: Language, n: int, max_n: int | None = None
 ) -> dict[str, tuple[int, ...]]:
     """Exact minimum membership certificate for each of the 2^n words, in
     lexicographic order, all read from one truth table of the slice.
@@ -463,7 +464,7 @@ def membership_certificates(
 
 
 def membership_certificate(
-    lang: Language, n: int, w: str, max_n: int = MAX_MEMBERSHIP_N
+    lang: Language, n: int, w: str, max_n: int | None = None
 ) -> tuple[int, ...]:
     """Exact minimum position set certifying the membership answer for ``w``."""
     _check_membership_caps(n, max_n)
@@ -472,7 +473,7 @@ def membership_certificate(
     return _membership_certificate(n, lang.automaton().truth_table(n), _halves(n), int(w, 2))
 
 
-def membership_depth_nondet(lang: Language, n: int, max_n: int = MAX_MEMBERSHIP_N) -> int:
+def membership_depth_nondet(lang: Language, n: int, max_n: int | None = None) -> int:
     """Largest over all 2^n words of the minimum certificate size (exact).
 
     A certificate of size n - l for x is a subcube through x with l freed
@@ -510,7 +511,6 @@ def membership_depth_nondet(lang: Language, n: int, max_n: int = MAX_MEMBERSHIP_
 # depth profiles
 
 EXACT = "EXACT"
-CONSTRUCTED = "CONSTRUCTED"
 SKIPPED = "SKIPPED"
 
 
@@ -527,61 +527,44 @@ class DepthProfile:
     rows: list[ProfileRow]
 
 
-def _constructed_rd(lang: Language, n: int) -> int | None:
-    """Measured worst-case query count of the block strategy over the slice."""
-    from .builders import BuilderPreconditionError, block_recognition_strategy, worst_case_queries
-
-    try:
-        strategy = block_recognition_strategy(lang, n)
-    except BuilderPreconditionError:
-        return None
-    return worst_case_queries(lang, strategy, MAX_SLICE)
-
-
 def depth_profile(
     lang: Language,
     lo: int,
     hi: int,
     measures: tuple[str, ...] = MEASURES,
-    allow_constructed: bool = False,
     max_n: int | None = None,
     max_slice: int = MAX_SLICE,
 ) -> DepthProfile:
     """Per-n table of the four depth measures with per-cell provenance.
 
-    Cells are EXACT while the oracle caps allow; past the caps, the ``rd``
-    column may be filled by simulating the constructive strategy (CONSTRUCTED)
-    when ``allow_constructed`` is set, and everything else is SKIPPED.
-    ``max_n`` caps both problems; None keeps ``MAX_RECOGNITION_N`` and
-    ``MAX_MEMBERSHIP_N``.
+    A cell is EXACT while the oracle caps allow, and SKIPPED past them or when
+    its measure is not asked for: a profile holds exact values only.
+    ``max_n`` caps both problems; None keeps each oracle's own default.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid range {lo}..{hi}")
     for m in measures:
         if m not in MEASURES:
             raise ValueError(f"unknown measure {m!r}; expected one of {MEASURES}")
-    max_recognition_n = MAX_RECOGNITION_N if max_n is None else max_n
-    max_membership_n = MAX_MEMBERSHIP_N if max_n is None else max_n
     rows = []
     for n in range(lo, hi + 1):
         values: dict[str, int | None] = {}
         sources: dict[str, str] = {}
         for m in MEASURES:
+            values[m], sources[m] = None, SKIPPED
             if m not in measures:
-                values[m], sources[m] = None, SKIPPED
                 continue
             try:
                 if m == "rd":
-                    v = recognition_depth_det(lang, n, max_recognition_n, max_slice)
+                    v = recognition_depth_det(lang, n, max_n, max_slice)
                 elif m == "ra":
-                    v = recognition_depth_nondet(lang, n, max_recognition_n, max_slice)
+                    v = recognition_depth_nondet(lang, n, max_n, max_slice)
                 elif m == "md":
-                    v = membership_depth_det(lang, n, max_membership_n)
+                    v = membership_depth_det(lang, n, max_n)
                 else:
-                    v = membership_depth_nondet(lang, n, max_membership_n)
-                values[m], sources[m] = v, EXACT
+                    v = membership_depth_nondet(lang, n, max_n)
             except CapExceeded:
-                v = _constructed_rd(lang, n) if m == "rd" and allow_constructed else None
-                values[m], sources[m] = v, SKIPPED if v is None else CONSTRUCTED
+                continue
+            values[m], sources[m] = v, EXACT
         rows.append(ProfileRow(n, values, sources))
     return DepthProfile(lang.name, rows)

@@ -141,6 +141,16 @@ def test_depths_paper_algorithm_fills_rd(capsys):
     assert int(row[2]) <= 13  # ceil(log2 40) + 7
 
 
+def test_depths_paper_fill_honours_max_slice(capsys):
+    # L(40) of L3 has 41 words, more than the strategy may be played over
+    code, out, _ = run(
+        capsys, "depths", "L3", "-n", "40", "--algorithm", "paper", "--max-slice", "5"
+    )
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    assert row[2] == "" and row[7] == "SKIPPED"
+
+
 def test_depths_paper_requires_rd(capsys):
     code, _, err = run(
         capsys, "depths", "L3", "-n", "1..2", "--algorithm", "paper", "--measures", "md"
@@ -291,6 +301,14 @@ def test_build_tree_dot_export(tmp_path, capsys):
     )
     assert code == 0
     assert dot_path.read_text().startswith("digraph decision_tree")
+
+
+def test_build_tree_dot_with_query_bound_report_is_usage_error(tmp_path, capsys):
+    dot_path = tmp_path / "x.dot"
+    code, out, err = run(capsys, "build-tree", "L3", "-n", "40", "--dot", str(dot_path))
+    assert code == 1
+    assert out == "" and "--dot" in err
+    assert not dot_path.exists()
 
 
 def test_build_tree_round_trip_all_modes(tmp_path, capsys):

@@ -531,14 +531,9 @@ def test_depth_profile_examples():
 
 
 def test_depth_profile_constructed_cells():
+    # a profile holds exact values only: past the caps the cell is skipped,
+    # and filling it from the block strategy is left to the CLI
     L3 = bundled_language("L3")
-    profile = depth_profile(L3, 40, 40, measures=("rd",), allow_constructed=True)
-    (row,) = profile.rows
-    assert row.sources["rd"] == "CONSTRUCTED"
-    t = 1
-    assert row.values["rd"] <= t * math.ceil(math.log2(40 / t)) + 7 * t
-
-    # without the constructed fallback the cell is skipped past the caps
     profile = depth_profile(L3, 40, 40, measures=("rd",))
     assert profile.rows[0].sources["rd"] == "SKIPPED"
     assert profile.rows[0].values["rd"] is None

@@ -1,7 +1,8 @@
+import argparse
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hs
 
 from subword_trees import (
@@ -14,8 +15,15 @@ from subword_trees import (
     QueryStrategy,
     StrategyError,
     TreeFormatError,
+    block_certificate,
+    block_length,
+    block_recognition_strategy,
     bundled_language,
+    cli,
+    distinguishing_set_tree,
+    homogeneity_dimension,
     materialize_strategy,
+    membership_tree,
     trace_strategy,
     tree_from_certificates,
     tree_from_json,
@@ -24,6 +32,7 @@ from subword_trees import (
     validate_membership,
     validate_recognition,
 )
+from subword_trees.dimensions import INFINITY
 from subword_trees.language import MAX_SLICE, CapExceeded
 from subword_trees.oracle import (
     membership_certificates,
@@ -329,6 +338,43 @@ def test_validators_match_reference():
 @settings(max_examples=25, deadline=None)
 def test_validators_match_reference_on_drawn_antichains(words, n):
     assert_validators_match_reference(Language.from_forbidden("drawn", words), n)
+
+
+@given(
+    words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4),
+    n=hs.integers(1, 7),
+    m=hs.integers(10, cli.MATERIALIZE_LIMIT),
+)
+@settings(max_examples=30, deadline=None)
+# few drawn languages have block length 1 and more than one word per slice
+@example(words=["10"], n=7, m=10)
+@example(words=["010", "101"], n=6, m=12)
+def test_validators_accept_every_built_tree(words, n, m):
+    """Every tree the package builds passes its validator: the exact and the
+    constructive trees of both problems at length n, and, where the block
+    strategy applies (m >= 10t), its materialized tree and certificate union."""
+    lang = Language.from_forbidden("drawn", words)
+    exact_chains = argparse.Namespace(
+        problem="membership", mode="nondet", algorithm="exact", max_n=None, max_slice=MAX_SLICE
+    )
+    built = [
+        (validate_recognition, n, "det", optimal_recognition_tree(lang, n)),
+        (validate_recognition, n, "nondet",
+         tree_from_certificates(lang, n, recognition_certificates(lang, n))),
+        (validate_recognition, n, "det", distinguishing_set_tree(lang, n)),
+        (validate_membership, n, "det", optimal_membership_tree(lang, n)),
+        (validate_membership, n, "det", membership_tree(lang, n)),
+        (validate_membership, n, "nondet", cli._build_tree(exact_chains, lang, n)),
+    ]
+    if homogeneity_dimension(lang) != INFINITY and m >= 10 * block_length(lang):
+        certs = {w: block_certificate(lang, m, w) for w in lang.iter_slice(m)}
+        built += [
+            (validate_recognition, m, "det",
+             materialize_strategy(block_recognition_strategy(lang, m))),
+            (validate_recognition, m, "nondet", tree_from_certificates(lang, m, certs)),
+        ]
+    for validate, length, mode, tree in built:
+        assert validate(tree, lang, length, mode) is None, (lang.name, length, mode)
 
 
 def test_validators_reject_what_the_reference_rejects():
