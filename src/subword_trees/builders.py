@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .dimensions import INFINITY, homogeneity_dimension, slice_size_bound
-from .language import ALPHABET, Language, agreeing
+from .language import ALPHABET, CapExceeded, Language, agreeing
 from .oracle import greedy_hitting_set, min_hitting_set
 from .trees import (
     Ask,
@@ -247,16 +247,17 @@ def worst_case_queries(lang: Language, strategy: QueryStrategy, cap: int) -> int
     has more than ``cap`` words.
 
     The strategy is played as a tree over the slice: each node carries the
-    set of slice words whose answers lead to it and splits it by the slice
-    column of the asked position, so ``next_action`` and ``advance`` run once
+    set of slice words whose answers lead to it and splits it by the letter
+    at the asked position, so ``next_action`` and ``advance`` run once
     per distinct answer transcript, not once per word.  Raises
     ``AssertionError`` naming the least word the strategy misrecognizes, and
     ``StrategyError`` when it asks more than one query per letter.
     """
     n = strategy.n
-    if lang.count_slice(n) > cap:
+    try:
+        words, splits = lang.slice_splits(n, cap)
+    except CapExceeded:
         return None
-    words, cols = lang.slice_columns(n)
     index = {w: i for i, w in enumerate(words)}
     worst = wrong = 0
     stack = [(strategy.initial_state(), (1 << len(words)) - 1, 0)]
@@ -270,9 +271,8 @@ def worst_case_queries(lang: Language, strategy: QueryStrategy, cap: int) -> int
             continue
         if depth >= n:
             raise StrategyError(f"query budget {n} exceeded at position {act.position}")
-        ones = S & cols[act.position - 1]
-        for bit, part in enumerate((S ^ ones, ones)):
-            if part:
+        for bit, half in enumerate(splits[act.position - 1]):
+            if part := S & half:
                 stack.append((strategy.advance(state, act.position, bit), part, depth + 1))
     if wrong:
         least = words[(wrong & -wrong).bit_length() - 1]
@@ -335,7 +335,7 @@ def tree_from_certificates(
     least unseparated member; the resulting tree has one root child per word
     and depth equal to the largest certificate.
     """
-    words, cols = lang.slice_columns(n)
+    words, splits = lang.slice_splits(n)
     if set(certs) != set(words):
         missing = sorted(set(words) - set(certs), key=lambda w: w)[:1]
         extra = sorted(set(certs) - set(words))[:1]
@@ -345,7 +345,7 @@ def tree_from_certificates(
         for p in certs[w]:
             if not 1 <= p <= n:
                 raise CertificateError(f"certificate for {w!r} has position {p}, outside 1..{n}")
-        if agree := agreeing(words, cols, i, certs[w]):
+        if agree := agreeing(words, splits, i, certs[w]):
             u = words[(agree & -agree).bit_length() - 1]
             raise CertificateError(f"certificate for {w!r} does not separate it from {u!r}")
     children = tuple(chain(w, certs[w], w) for w in words)

@@ -140,10 +140,22 @@ class Language:
     def iter_slice(self, n: int) -> Iterator[str]:
         return self.automaton().iter_words(n)
 
-    def slice_columns(self, n: int) -> tuple[list[str], list[int]]:
-        """The slice in lexicographic order and its ``word_columns``."""
+    def slice_splits(
+        self, n: int, max_slice: int | None = None
+    ) -> tuple[list[str], list[tuple[int, int]]]:
+        """The slice in lexicographic order and its splits: ``splits[p - 1]``
+        holds the sets of words reading 0 and 1 at position p, bit i standing
+        for ``words[i]``.  Raises ``CapExceeded`` when the slice has more than
+        ``max_slice`` words."""
+        if max_slice is not None and self.count_slice(n) > max_slice:
+            raise CapExceeded(
+                f"recognition capped at slices of <= {max_slice} words, got {self.name}({n})"
+            )
         words = self.slice(n)
-        return words, word_columns(words, n)
+        everything = (1 << len(words)) - 1
+        letters = "".join(words)  # column p - 1 of the word matrix is letters[p - 1::n]
+        ones = [int(letters[p::n][::-1] or "0", 2) for p in range(n)]
+        return words, [(c ^ everything, c) for c in ones]
 
     def count_slice(self, n: int) -> int:
         """``len(slice(n))`` computed by dynamic programming, without enumeration."""
@@ -154,22 +166,16 @@ class Language:
         return next(self.iter_slice(n), None)
 
 
-def word_columns(words: list[str], n: int) -> list[int]:
-    """The columns of a list of length-n words as word sets: bit i of
-    ``cols[p - 1]`` is set iff ``words[i]`` has a 1 at position p."""
-    letters = "".join(words)  # column p - 1 of the word matrix is letters[p - 1::n]
-    return [int(letters[p::n][::-1] or "0", 2) for p in range(n)]
-
-
-def agreeing(words: list[str], cols: list[int], i: int, positions: Iterable[int]) -> int:
+def agreeing(
+    words: list[str], splits: list[tuple[int, int]], i: int, positions: Iterable[int]
+) -> int:
     """The word set of the members other than ``words[i]`` that agree with it
-    at every one of the 1-based ``positions``: one AND of a column, or of its
-    complement, per position.  Empty iff the positions separate ``words[i]``."""
+    at every one of the 1-based ``positions``: one AND of a split half per
+    position.  Empty iff the positions separate ``words[i]``."""
     w = words[i]
-    everything = (1 << len(words)) - 1
-    agree = everything ^ 1 << i
+    agree = ((1 << len(words)) - 1) ^ 1 << i
     for p in positions:
-        agree &= cols[p - 1] if w[p - 1] == "1" else cols[p - 1] ^ everything
+        agree &= splits[p - 1][int(w[p - 1])]
     return agree
 
 
@@ -347,9 +353,7 @@ class SliceAutomaton:
         past it: ``T_q(k) = T_{q0}(k - 1) | T_{q1}(k - 1) << 2^(k - 1)``.
         Raises ``CapExceeded`` past ``MAX_TABLE_N``.
         """
-        _check_length(n)
-        if n > MAX_TABLE_N:
-            raise CapExceeded(f"truth table capped at n <= {MAX_TABLE_N}, got {n}")
+        _check_table_width(n)
         rows = [0] + [1] * (len(self._trans) - 1)  # length 0: every live state accepts
         for k in range(n):
             rows = [rows[t0] | rows[t1] << (1 << k) for t0, t1 in self._trans]
@@ -377,9 +381,25 @@ def index_masks(k: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
+def cube_splits(n: int) -> list[tuple[int, int]]:
+    """The splits of all 2^n words, word x being ``format(x, f"0{n}b")`` as
+    in ``truth_table``: ``splits[p - 1]`` holds the sets of indices reading 0
+    and 1 at position p, which is index bit n - p.  Raises ``CapExceeded``
+    past ``MAX_TABLE_N``."""
+    _check_table_width(n)
+    ones = (1 << (1 << n)) - 1
+    return [(m, m ^ ones) for m in reversed(index_masks(n))]
+
+
 def _check_length(n: int) -> None:
     if n < 0:
         raise ValueError(f"slice length must be non-negative, got {n}")
+
+
+def _check_table_width(n: int) -> None:
+    _check_length(n)
+    if n > MAX_TABLE_N:
+        raise CapExceeded(f"truth table capped at n <= {MAX_TABLE_N}, got {n}")
 
 
 def parse_language_spec(text: str) -> Language:

@@ -35,6 +35,7 @@ from .language import (
     CapExceeded,
     Language,
     agreeing,
+    cube_splits,
     index_masks,
     require_word,
 )
@@ -119,21 +120,20 @@ def min_hitting_set(masks: list[int]) -> int:
 # recognition: minimax over consistent member subsets
 
 
-def _check_recognition_caps(lang, n, max_n, max_slice):
+def _recognition_splits(lang, n, max_n, max_slice):
+    """``lang.slice_splits(n, max_slice)`` once n is within the length cap."""
     if max_n is None:
         max_n = MAX_RECOGNITION_N
     if not 1 <= n <= max_n:
         raise CapExceeded(f"recognition oracle capped at 1 <= n <= {max_n}, got {n}")
-    if lang.count_slice(n) > max_slice:
-        raise CapExceeded(f"slice larger than {max_slice} words")
+    return lang.slice_splits(n, max_slice)
 
 
 def _recognition_minimax(lang, n, max_n, max_slice):
-    """Returns (words, optimal depth, split choice per subset bitmask, split masks).
+    """Returns (words, optimal depth, split choice per subset bitmask, splits).
 
-    ``zero_mask[p]`` is the subset of slice indices whose word has a 0 at
-    0-based position p, so querying p splits S into ``S & zero_mask[p]`` and
-    the rest.  The search over S stops once a split meets a lower bound: first
+    Querying 0-based position p splits S into ``S & splits[p][0]`` and the
+    rest.  The search over S stops once a split meets a lower bound: first
     ``ceil(log2 |S|)``, and, once the first splitting position has missed that,
     the sensitivity of S, the largest number of Hamming neighbours a member
     of S has inside S.  A tree that tells w apart from the rest of S must query
@@ -142,14 +142,10 @@ def _recognition_minimax(lang, n, max_n, max_slice):
     replaces the current choice, so the replayed tree queries the first
     optimal position at every node.
     """
-    _check_recognition_caps(lang, n, max_n, max_slice)
-    words, cols = lang.slice_columns(n)
-    k = len(words)
+    words, splits = _recognition_splits(lang, n, max_n, max_slice)
     choices: dict[int, int] = {}
-    everything = (1 << k) - 1
-    zero_mask = [c ^ everything for c in cols]
-    if k <= 1:
-        return words, 0, choices, zero_mask
+    if len(words) <= 1:
+        return words, 0, choices, splits
     memo: dict[int, int] = {}
     nbr: list[int] = []  # nbr[i]: the slice indices at Hamming distance 1 from word i
     max_degree = 0
@@ -178,8 +174,8 @@ def _recognition_minimax(lang, n, max_n, max_slice):
             return cached
         lower = (S.bit_count() - 1).bit_length()  # ceil(log2 |S|)
         best = None
-        for p in range(n):
-            s0 = S & zero_mask[p]
+        for p, (zeros, _) in enumerate(splits):
+            s0 = S & zeros
             if not s0 or s0 == S:
                 continue  # non-splitting queries gain nothing
             s1 = S ^ s0
@@ -197,7 +193,7 @@ def _recognition_minimax(lang, n, max_n, max_slice):
         memo[S] = best
         return best
 
-    return words, h(everything), choices, zero_mask
+    return words, h((1 << len(words)) - 1), choices, splits
 
 
 def recognition_depth_det(
@@ -211,7 +207,7 @@ def optimal_recognition_tree(
     lang: Language, n: int, max_n: int | None = None, max_slice: int = MAX_SLICE
 ) -> DecisionTree:
     """Depth-optimal deterministic recognition tree, replayed from the minimax."""
-    words, _, choices, zero_mask = _recognition_minimax(lang, n, max_n, max_slice)
+    words, _, choices, splits = _recognition_minimax(lang, n, max_n, max_slice)
     if not words:
         return DecisionTree(())
 
@@ -219,7 +215,7 @@ def optimal_recognition_tree(
         if S & (S - 1) == 0:
             return Leaf(words[S.bit_length() - 1])
         p = choices[S]
-        s0 = S & zero_mask[p]
+        s0 = S & splits[p][0]
         return Branch(p + 1, ((0, build(s0)), (1, build(S ^ s0))))
 
     return DecisionTree((build((1 << len(words)) - 1),))
@@ -254,12 +250,11 @@ def _recognition_certificates(
     sensitive positions skips the separation check: all n positions separate
     any word.
     """
-    _check_recognition_caps(lang, n, max_n, max_slice)
-    words, cols = lang.slice_columns(n)
+    words, splits = _recognition_splits(lang, n, max_n, max_slice)
     ints = [int(w, 2) for w in words]
     for i, flips in enumerate(_one_letter_flips(ints, n)):
         positions = [n - b for b, _ in reversed(flips)]
-        if len(positions) < n and agreeing(words, cols, i, positions):
+        if len(positions) < n and agreeing(words, splits, i, positions):
             chosen = min_hitting_set(_difference_masks(ints, i))
             positions = [n - b for b in range(n - 1, -1, -1) if chosen >> b & 1]
         yield words[i], tuple(positions)
@@ -295,10 +290,12 @@ def recognition_depth_nondet(
 # i-th free position (ascending) is index bit k - 1 - i.
 
 
-def _check_membership_caps(n, max_n):
+def _membership_table(lang, n, max_n):
+    """The slice truth table once n is within the length cap."""
     cap = min(MAX_MEMBERSHIP_N if max_n is None else max_n, MAX_TABLE_N)
     if not 1 <= n <= cap:
         raise CapExceeded(f"membership oracle capped at 1 <= n <= {cap}, got {n}")
+    return lang.automaton().truth_table(n)
 
 
 def _cofactor(t: int, masks: tuple[int, ...], j: int, bit: int) -> int:
@@ -322,7 +319,7 @@ def _membership_minimax(lang: Language, n: int, max_n: int | None):
     a strictly better one replaces the current choice, so the replayed tree
     queries the first optimal position at every node.
     """
-    _check_membership_caps(n, max_n)
+    table = _membership_table(lang, n, max_n)
     ones = [(1 << (1 << k)) - 1 for k in range(n + 1)]
     memo: dict[tuple[int, int], int] = {}
     choices: dict[tuple[int, int], int] = {}
@@ -352,7 +349,6 @@ def _membership_minimax(lang: Language, n: int, max_n: int | None):
         memo[key] = best
         return best
 
-    table = lang.automaton().truth_table(n)
     return table, h(n, table), choices
 
 
@@ -382,21 +378,20 @@ def optimal_membership_tree(
     return DecisionTree((build(tuple(range(1, n + 1)), table),))
 
 
-def _membership_certificate(
-    n: int, table: int, halves: list[tuple[int, int]], x: int
-) -> tuple[int, ...]:
+def _membership_certificate(table: int, splits: list[tuple[int, int]], x: int) -> tuple[int, ...]:
     """Smallest pinned position set whose subcube through x is constant on ``table``.
 
-    ``halves[j]`` holds the table bits whose index has bit j clear, then set,
-    so pinning index bit j to x's letter keeps the bits of ``keep[j]``.
+    ``splits`` is ``cube_splits(n)``; pinning index bit j, position n - j, to
+    x's letter keeps the bits of ``keep[j]``.
     Branch and bound: each node takes a witness of the opposite class in the
     pinned subcube and branches on the positions where it differs from x,
     excluding the positions already tried by earlier siblings.  A greedy pass
     gives the first upper bound.  Position p is index bit n - p, so the
     positions are visited from the highest index bit down.
     """
+    n = len(splits)
     opposite = table ^ ((1 << (1 << n)) - 1) if table >> x & 1 else table
-    keep = [half[x >> j & 1] for j, half in enumerate(halves)]
+    keep = [split[x >> j & 1] for j, split in enumerate(reversed(splits))]
 
     def witness(cube: int) -> int | None:
         """``y ^ x`` for a word y of ``cube``, the opposite class within the
@@ -442,11 +437,6 @@ def _membership_certificate(
     return tuple(n - j for j in bits(best))
 
 
-def _halves(n: int) -> list[tuple[int, int]]:
-    ones = (1 << (1 << n)) - 1
-    return [(m, m ^ ones) for m in index_masks(n)]
-
-
 def membership_certificates(
     lang: Language, n: int, max_n: int | None = None
 ) -> dict[str, tuple[int, ...]]:
@@ -456,21 +446,18 @@ def membership_certificates(
     A certificate for w is a position set such that every word agreeing with
     w on it gets the same membership answer as w.
     """
-    _check_membership_caps(n, max_n)
-    table, halves = lang.automaton().truth_table(n), _halves(n)
-    return {
-        format(x, f"0{n}b"): _membership_certificate(n, table, halves, x) for x in range(1 << n)
-    }
+    table, splits = _membership_table(lang, n, max_n), cube_splits(n)
+    return {format(x, f"0{n}b"): _membership_certificate(table, splits, x) for x in range(1 << n)}
 
 
 def membership_certificate(
     lang: Language, n: int, w: str, max_n: int | None = None
 ) -> tuple[int, ...]:
     """Exact minimum position set certifying the membership answer for ``w``."""
-    _check_membership_caps(n, max_n)
+    table = _membership_table(lang, n, max_n)
     if len(require_word(w)) != n:
         raise ValueError(f"expected a word of length {n}, got {w!r}")
-    return _membership_certificate(n, lang.automaton().truth_table(n), _halves(n), int(w, 2))
+    return _membership_certificate(table, cube_splits(n), int(w, 2))
 
 
 def membership_depth_nondet(lang: Language, n: int, max_n: int | None = None) -> int:
@@ -484,8 +471,7 @@ def membership_depth_nondet(lang: Language, n: int, max_n: int | None = None) ->
     shrinks the covered set, so a branch ends once it is empty.  The answer is
     n - max{l : every input is covered by some set of l freed positions}.
     """
-    _check_membership_caps(n, max_n)
-    table = lang.automaton().truth_table(n)
+    table = _membership_table(lang, n, max_n)
     ones = (1 << (1 << n)) - 1
     if table == 0 or table == ones:
         return 0  # the answer is constant

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Iterator, Union
 
-from .language import MAX_SLICE, CapExceeded, Language, index_masks
+from .language import MAX_SLICE, Language, cube_splits
 
 DET = "det"
 NONDET = "nondet"
@@ -104,7 +104,6 @@ def chain(word: str, positions: tuple[int, ...], label: str) -> Node:
 
 def _validate(
     tree: DecisionTree,
-    n: int,
     mode: str,
     size: int,
     splits: list[tuple[int, int]],
@@ -114,7 +113,8 @@ def _validate(
     """Check the structure and the solving conditions over a universe of ``size`` words.
 
     A word set is an int whose bit i stands for the i-th universe word.
-    ``splits[p - 1]`` holds the sets of words reading 0 and 1 at position p;
+    ``splits[p - 1]`` holds the sets of words reading 0 and 1 at position p,
+    for the word length n = ``len(splits)``;
     ``rejects`` maps an admissible label to the set of words that want another
     label (None for an inadmissible label); ``word_of(i)`` is the i-th word
     and the label it wants.
@@ -131,6 +131,7 @@ def _validate(
     """
     if mode not in (DET, NONDET):
         raise ValueError(f"mode must be {DET!r} or {NONDET!r}, got {mode!r}")
+    n = len(splits)
     everything = (1 << size) - 1
     covered = wrong = 0  # wrong: the lowest bit of the least wrongly labelled word
     repeated: Branch | None = None
@@ -207,21 +208,15 @@ def validate_recognition(
     universe is the slice in lexicographic order; a slice of more than
     ``MAX_SLICE`` words raises ``CapExceeded``.
     """
-    if lang.count_slice(n) > MAX_SLICE:
-        raise CapExceeded(
-            f"recognition validation capped at slices of <= {MAX_SLICE} words, "
-            f"got {lang.name}({n})"
-        )
-    words, cols = lang.slice_columns(n)
+    words, splits = lang.slice_splits(n, MAX_SLICE)
     index = {w: i for i, w in enumerate(words)}
     everything = (1 << len(words)) - 1
-    splits = [(ones ^ everything, ones) for ones in cols]
 
     def rejects(label: str) -> int | None:
         i = index.get(label)
         return None if i is None else everything ^ (1 << i)
 
-    return _validate(tree, n, mode, len(words), splits, rejects, lambda i: (words[i], words[i]))
+    return _validate(tree, mode, len(words), splits, rejects, lambda i: (words[i], words[i]))
 
 
 def validate_membership(
@@ -230,19 +225,16 @@ def validate_membership(
     """Check the membership solving conditions over all 2^n words of length n.
 
     Word x of the universe is ``format(x, f"0{n}b")``, so the word sets are
-    read off the slice truth table and its index masks.
+    read off the slice truth table and ``cube_splits(n)``.
     """
     table = lang.automaton().truth_table(n)
-    everything = (1 << (1 << n)) - 1
-    rejects = {"0": table, "1": everything ^ table}
-    masks = index_masks(n)  # position p is index bit n - p
-    splits = [(masks[n - p], masks[n - p] ^ everything) for p in range(1, n + 1)]
+    rejects = {"0": table, "1": ((1 << (1 << n)) - 1) ^ table}
 
     def word_of(x: int) -> tuple[str, str]:
         word = format(x, f"0{n}b") if n else ""
         return word, "1" if table >> x & 1 else "0"
 
-    return _validate(tree, n, mode, 1 << n, splits, rejects.get, word_of)
+    return _validate(tree, mode, 1 << n, cube_splits(n), rejects.get, word_of)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from subword_trees import (
     parse_language_spec,
     validate_membership,
 )
-from subword_trees.language import MAX_TABLE_N, CapExceeded, index_masks
+from subword_trees.language import MAX_TABLE_N, CapExceeded, cube_splits, index_masks
 
 from conftest import small_languages, words_up_to
 from reference_language import (
@@ -310,27 +310,37 @@ def test_truth_table_is_capped_at_table_width():
         validate_membership(DecisionTree((Leaf("1"),)), L1, 30)
 
 
-# -- slice columns against a per-word construction --------------------------------
+# -- word-set splits against a per-word construction ------------------------------
 
 
-def assert_columns_match_words(lang, n):
-    words, cols = lang.slice_columns(n)
-    assert words == lang.slice(n)
-    assert len(cols) == n
+def assert_splits_match_words(words, splits, n):
+    """``splits[p - 1]`` is (words reading 0 at p, words reading 1 at p)."""
+    assert len(splits) == n
     for p in range(1, n + 1):
-        want = sum(1 << i for i, w in enumerate(words) if w[p - 1] == "1")
-        assert cols[p - 1] == want, (lang.obstructions, n, p)
+        want = tuple(
+            sum(1 << i for i, w in enumerate(words) if w[p - 1] == letter) for letter in "01"
+        )
+        assert splits[p - 1] == want, (n, p)
 
 
-def test_slice_columns_match_per_word_construction():
+def test_slice_splits_match_per_word_construction():
     for lang in small_languages() + [
         Language.from_forbidden("stress", ["001", "010", "0111"]),
         Language.from_forbidden("empty", [""]),
         Language.from_forbidden("full", []),
     ]:
         for n in range(0, 13):
-            assert_columns_match_words(lang, n)
-    assert_columns_match_words(bundled_language("L3"), 1000)
+            words, splits = lang.slice_splits(n)
+            assert words == lang.slice(n)
+            assert_splits_match_words(words, splits, n)
+    L3 = bundled_language("L3")
+    assert_splits_match_words(*L3.slice_splits(1000), 1000)
+
+
+def test_cube_splits_match_per_word_construction():
+    for n in range(0, 11):
+        words = [format(x, f"0{n}b") if n else "" for x in range(1 << n)]
+        assert_splits_match_words(words, cube_splits(n), n)
 
 
 def test_index_masks_match_division_formula():

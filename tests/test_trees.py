@@ -1,5 +1,6 @@
 import argparse
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -39,6 +40,7 @@ from subword_trees.oracle import (
     optimal_membership_tree,
     optimal_recognition_tree,
     recognition_certificates,
+    recognition_depth_det,
 )
 
 from conftest import small_languages
@@ -155,7 +157,7 @@ def test_position_out_of_range_raises():
         validate_recognition(tree, L3, 3, "det")
 
 
-def test_recognition_validation_is_capped_at_max_slice():
+def test_recognition_validation_is_capped_at_max_slice(capsys):
     # L2 is every word: |L2(12)| = 4096 is still walked, |L2(13)| is not
     L2 = bundled_language("L2")
     assert L2.count_slice(12) == MAX_SLICE
@@ -168,8 +170,17 @@ def test_recognition_validation_is_capped_at_max_slice():
     assert validate_recognition(DecisionTree((read(""),)), L2, 12) is None
     leaf = DecisionTree((Leaf("1"),))
     assert validate_recognition(leaf, L2, 12).bullet == 1
-    with pytest.raises(CapExceeded, match="slices of <= 4096 words, got L2[(]13[)]"):
+    # the validator, the exact oracles and the CLI all stop with one message
+    cap_message = "slices of <= 4096 words, got L2[(]13[)]"
+    with pytest.raises(CapExceeded, match=cap_message):
         validate_recognition(leaf, L2, 13)
+    with pytest.raises(CapExceeded, match=cap_message):
+        recognition_depth_det(L2, 13, max_n=13)
+    with pytest.raises(CapExceeded, match=cap_message):
+        recognition_certificates(L2, 13, max_n=13)
+    args = ["build-tree", "L2", "-n", "13", "--algorithm", "exact", "--max-n", "13"]
+    assert cli.main(args) == 3
+    assert re.search(cap_message, capsys.readouterr().err)
 
 
 def test_contradictory_repeated_query_accepts_nothing():
