@@ -145,6 +145,7 @@ class BlockRecognitionStrategy(QueryStrategy):
         self._edges = tuple(range(1, 2 * t + 1)) + tuple(range(n - 2 * t + 1, n + 1))
         self._third_left = tuple(range(2 * t + 1, 3 * t + 1))
         self._third_right = tuple(range(n - 3 * t + 1, n - 2 * t + 1))
+        self._asks = tuple(Ask(p) for p in range(1, n + 1))  # frozen, so shared by every state
         self.fallback = lang.first_slice_word(n)
 
     def block_span(self, idx: int) -> tuple[int, int]:
@@ -166,7 +167,7 @@ class BlockRecognitionStrategy(QueryStrategy):
     def next_action(self, state):
         todo = state[1]
         if todo:
-            return Ask(todo[0])
+            return self._asks[todo[0] - 1]
         return Finish(state[3])
 
     def advance(self, state, position: int, bit: int):
@@ -227,12 +228,12 @@ class BlockRecognitionStrategy(QueryStrategy):
         return self._finish(answers, fill_letter=a, fill_until=boundary, rest=abar)
 
     def _finish(self, answers, fill_letter: int, fill_until: int, rest: int | None = None):
-        chars = [ALPHABET[rest] if rest is not None else "?"] * self.n
-        if fill_until >= 1:
-            chars[:fill_until] = ALPHABET[fill_letter] * fill_until
+        codes = ALPHABET.encode()
+        label = bytearray(codes[fill_letter : fill_letter + 1] * fill_until)
+        label += (b"?" if rest is None else codes[rest : rest + 1]) * (self.n - fill_until)
         for p, bit in answers:
-            chars[p - 1] = ALPHABET[bit]
-        word = "".join(chars)
+            label[p - 1] = codes[bit]
+        word = label.decode()
         if "?" in word or not self.lang.contains(word):
             word = self.fallback  # answers match no member
         return (answers, (), None, word)

@@ -44,9 +44,17 @@ def require_word(s: str) -> str:
 
 
 def is_subsequence(u: str, w: str) -> bool:
-    """True iff ``u`` can be obtained from ``w`` by deleting zero or more letters."""
-    it = iter(w)
-    return all(c in it for c in u)
+    """True iff ``u`` can be obtained from ``w`` by deleting zero or more letters.
+
+    Matches each letter of ``u`` at its first occurrence after the previous
+    match, one ``str.find`` scan per letter.
+    """
+    i = 0
+    for c in u:
+        i = w.find(c, i) + 1
+        if not i:
+            return False
+    return True
 
 
 def shortlex_key(w: str) -> tuple[int, str]:
@@ -126,7 +134,7 @@ class Language:
 
         Raises ``LanguageSpecError`` if ``w`` has a letter other than 0 and 1.
         """
-        if w.strip(ALPHABET):
+        if w.count("0") + w.count("1") != len(w):
             require_word(w)  # raises, naming the word
         return not any(is_subsequence(f, w) for f in self.obstructions)
 

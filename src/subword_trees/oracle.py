@@ -129,8 +129,9 @@ def _recognition_splits(lang, n, max_n, max_slice):
     return lang.slice_splits(n, max_slice)
 
 
-def _recognition_minimax(lang, n, max_n, max_slice):
-    """Returns (words, optimal depth, split choice per subset bitmask, splits).
+def _recognition_minimax(words, splits, n):
+    """Returns (optimal depth, split choice per subset bitmask) over the
+    slice table ``(words, splits)`` of length-n words.
 
     Querying 0-based position p splits S into ``S & splits[p][0]`` and the
     rest.  The search over S stops once a split meets a lower bound: first
@@ -142,10 +143,9 @@ def _recognition_minimax(lang, n, max_n, max_slice):
     replaces the current choice, so the replayed tree queries the first
     optimal position at every node.
     """
-    words, splits = _recognition_splits(lang, n, max_n, max_slice)
     choices: dict[int, int] = {}
     if len(words) <= 1:
-        return words, 0, choices, splits
+        return 0, choices
     memo: dict[int, int] = {}
     nbr: list[int] = []  # nbr[i]: the slice indices at Hamming distance 1 from word i
     max_degree = 0
@@ -193,23 +193,25 @@ def _recognition_minimax(lang, n, max_n, max_slice):
         memo[S] = best
         return best
 
-    return words, h((1 << len(words)) - 1), choices, splits
+    return h((1 << len(words)) - 1), choices
 
 
 def recognition_depth_det(
     lang: Language, n: int, max_n: int | None = None, max_slice: int = MAX_SLICE
 ) -> int:
     """Minimum depth of a deterministic tree recognizing the slice (exact)."""
-    return _recognition_minimax(lang, n, max_n, max_slice)[1]
+    words, splits = _recognition_splits(lang, n, max_n, max_slice)
+    return _recognition_minimax(words, splits, n)[0]
 
 
 def optimal_recognition_tree(
     lang: Language, n: int, max_n: int | None = None, max_slice: int = MAX_SLICE
 ) -> DecisionTree:
     """Depth-optimal deterministic recognition tree, replayed from the minimax."""
-    words, _, choices, splits = _recognition_minimax(lang, n, max_n, max_slice)
+    words, splits = _recognition_splits(lang, n, max_n, max_slice)
     if not words:
         return DecisionTree(())
+    choices = _recognition_minimax(words, splits, n)[1]
 
     def build(S: int):
         if S & (S - 1) == 0:
@@ -235,9 +237,10 @@ def _difference_masks(ints: list[int], i: int) -> list[int]:
 
 
 def _recognition_certificates(
-    lang: Language, n: int, max_n: int, max_slice: int
+    words: list[str], splits: list[tuple[int, int]], n: int
 ) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """Yields each slice word with its minimum separating position set.
+    """Yields each word of the slice table ``(words, splits)`` of length-n
+    words with its minimum separating position set.
 
     Sensitive positions first, hitting-set search as fallback.  Every
     certificate of w holds each position whose flip keeps w in the slice
@@ -250,7 +253,6 @@ def _recognition_certificates(
     sensitive positions skips the separation check: all n positions separate
     any word.
     """
-    words, splits = _recognition_splits(lang, n, max_n, max_slice)
     ints = [int(w, 2) for w in words]
     for i, flips in enumerate(_one_letter_flips(ints, n)):
         positions = [n - b for b, _ in reversed(flips)]
@@ -265,7 +267,8 @@ def recognition_certificates(
 ) -> dict[str, tuple[int, ...]]:
     """Exact minimum separating position set for every slice word, in slice
     order: sensitive positions first, hitting-set search as fallback."""
-    return dict(_recognition_certificates(lang, n, max_n, max_slice))
+    words, splits = _recognition_splits(lang, n, max_n, max_slice)
+    return dict(_recognition_certificates(words, splits, n))
 
 
 def recognition_depth_nondet(
@@ -273,8 +276,13 @@ def recognition_depth_nondet(
 ) -> int:
     """Largest over slice words of the minimum separating-set size (exact):
     sensitive positions first, hitting-set search as fallback."""
+    words, splits = _recognition_splits(lang, n, max_n, max_slice)
+    return _largest_certificate(words, splits, n)
+
+
+def _largest_certificate(words, splits, n):
     best = 0
-    for _, positions in _recognition_certificates(lang, n, max_n, max_slice):
+    for _, positions in _recognition_certificates(words, splits, n):
         best = max(best, len(positions))
         if best == n:
             break  # no certificate can need more than every position
@@ -526,6 +534,7 @@ def depth_profile(
     A cell is EXACT while the oracle caps allow, and SKIPPED past them or when
     its measure is not asked for: a profile holds exact values only.
     ``max_n`` caps both problems; None keeps each oracle's own default.
+    ``rd`` and ``ra`` share one slice table per n.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"invalid range {lo}..{hi}")
@@ -536,15 +545,21 @@ def depth_profile(
     for n in range(lo, hi + 1):
         values: dict[str, int | None] = {}
         sources: dict[str, str] = {}
+        table = None
+        if "rd" in measures or "ra" in measures:
+            try:
+                table = _recognition_splits(lang, n, max_n, max_slice)
+            except CapExceeded:
+                pass  # both recognition cells stay SKIPPED
         for m in MEASURES:
             values[m], sources[m] = None, SKIPPED
-            if m not in measures:
+            if m not in measures or (m in ("rd", "ra") and table is None):
                 continue
             try:
                 if m == "rd":
-                    v = recognition_depth_det(lang, n, max_n, max_slice)
+                    v = _recognition_minimax(*table, n)[0]
                 elif m == "ra":
-                    v = recognition_depth_nondet(lang, n, max_n, max_slice)
+                    v = _largest_certificate(*table, n)
                 elif m == "md":
                     v = membership_depth_det(lang, n, max_n)
                 else:

@@ -9,6 +9,10 @@ which is what makes it a simple, independent check.
 ``brute_slice`` is the ground-truth slice: a filter of all 2^n words by the
 membership predicate, independent of the automaton.
 
+``reference_is_subsequence`` is the subsequence test as it was before it
+moved to one ``str.find`` scan per letter: one pass of a ``str`` iterator over
+``w``, stepped by a generator.
+
 ``string_truth_table`` and ``division_index_masks`` are how the membership
 oracle built its truth table and index masks before ``SliceAutomaton`` took
 them over: the table from the slice's word strings, the masks from one
@@ -31,6 +35,11 @@ def brute_slice(lang: Language, n: int, max_n: int = MAX_BRUTE_N) -> list[str]:
     if n == 0:
         return [""] if lang.contains("") else []
     return [w for i in range(1 << n) if lang.contains(w := format(i, f"0{n}b"))]
+
+
+def reference_is_subsequence(u: str, w: str) -> bool:
+    it = iter(w)
+    return all(c in it for c in u)
 
 
 def string_truth_table(lang: Language, n: int) -> int:

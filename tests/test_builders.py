@@ -185,12 +185,13 @@ def test_strategy_large_n():
     assert worst <= math.ceil(math.log2(1000)) + 7
 
 
-def assert_strategy_matches_reference(lang):
+def assert_strategy_matches_reference(lang, extra_lengths=()):
     if homogeneity_dimension(lang) == INFINITY:
         return
     t = block_length(lang)
     rng = random.Random(",".join(lang.obstructions))
-    for n in sorted({10 * t, 10 * t + 1, 10 * t + 3, 12 * t + 5, 40} - set(range(10 * t))):
+    lengths = {10 * t, 10 * t + 1, 10 * t + 3, 12 * t + 5, 40, *extra_lengths}
+    for n in sorted(lengths - set(range(10 * t))):
         strategy = block_recognition_strategy(lang, n)
         reference = ReferenceBlockStrategy(lang, n)
         words = list(lang.iter_slice(n))
@@ -202,12 +203,13 @@ def assert_strategy_matches_reference(lang):
 
 
 def test_strategy_matches_reference():
-    for lang in small_languages() + [
-        stress_language(),
-        Language.from_forbidden("avoid-001-010-0111", ["001", "010", "0111"]),
-        Language.from_forbidden("avoid-001-0000-0111", ["001", "0000", "0111"]),
-    ]:
+    for lang in small_languages() + [stress_language()]:
         assert_strategy_matches_reference(lang)
+    # t = 4: at n = 100 the random words compare long labels, and the
+    # fallback for transcripts no member produces, with the reference
+    for words in (["001", "010", "0111"], ["001", "0000", "0111"]):
+        lang = Language.from_forbidden("avoid-" + "-".join(words), words)
+        assert_strategy_matches_reference(lang, extra_lengths=(100,))
 
 
 @given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4))

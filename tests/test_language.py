@@ -25,6 +25,7 @@ from conftest import small_languages, words_up_to
 from reference_language import (
     brute_slice,
     division_index_masks,
+    reference_is_subsequence,
     reference_iter_words,
     string_truth_table,
 )
@@ -71,6 +72,29 @@ def test_subsequence_transitive_random(u, v, w):
 def test_deleting_letters_gives_subsequence(w, mask):
     kept = "".join(c for c, keep in zip(w, mask) if keep)
     assert is_subsequence(kept, w)
+
+
+def test_subsequence_matches_reference_exhaustive():
+    words = words_up_to(6)
+    for u in words:
+        for w in words:
+            assert is_subsequence(u, w) == reference_is_subsequence(u, w), (u, w)
+
+
+@given(
+    u=hs.text(alphabet="01", max_size=300),
+    w=hs.text(alphabet="01", max_size=300),
+    mask=hs.lists(hs.booleans(), max_size=300),
+    extra=hs.text(alphabet="01", min_size=1, max_size=3),
+    at=hs.integers(0, 300),
+)
+def test_subsequence_matches_reference_on_long_words(u, w, mask, extra, at):
+    # a drawn pair, a subsequence of w, one with letters inserted, one
+    # longer than w, and the empty word, each on both sides
+    kept = "".join(c for c, keep in zip(w, mask) if keep)
+    for v in (u, kept, kept[:at] + extra + kept[at:], w + extra, ""):
+        assert is_subsequence(v, w) == reference_is_subsequence(v, w), (v, w)
+        assert is_subsequence(w, v) == reference_is_subsequence(w, v), (w, v)
 
 
 # -- antichain canonicalization ----------------------------------------------
@@ -134,11 +158,45 @@ def test_contains_examples():
     assert not Language.from_forbidden("empty", [""]).contains("0")
 
 
-@pytest.mark.parametrize("word", ["2x", "2", "0a1", "01 ", "１"])
+@pytest.mark.parametrize(
+    "word",
+    [
+        "2x",
+        "2",
+        "0a1",
+        "01 ",
+        "１",
+        pytest.param("2" + "0" * 999, id="2-then-999-zeros"),
+        pytest.param("0" * 999 + "2", id="999-zeros-then-2"),
+        pytest.param("0" * 500 + " " + "1" * 499, id="space-at-501-of-1000"),
+        pytest.param("0" * 500 + "１" + "1" * 499, id="fullwidth-1-at-501-of-1000"),
+    ],
+)
 def test_contains_rejects_non_binary_letters(word):
     for obstructions in (["11"], [], [""]):
         with pytest.raises(LanguageSpecError):
             Language.from_forbidden("x", obstructions).contains(word)
+
+
+def test_contains_matches_reference_on_long_words():
+    rng = random.Random(14)
+    for lang in (
+        bundled_language("L3"),
+        Language.from_forbidden("avoid-010-101", ["010", "101"]),
+        Language.from_forbidden("avoid-001-010-0111", ["001", "010", "0111"]),
+    ):
+        members = rng.sample(lang.slice(1000), 20)
+        flipped = []  # one letter of each member flipped: mostly near misses
+        for w in members:
+            p = rng.randrange(1000)
+            flipped.append(w[:p] + "10"[int(w[p])] + w[p + 1 :])
+        drawn = ["".join(rng.choice("01") for _ in range(1000)) for _ in range(20)]
+        verdicts = set()
+        for w in members + flipped + drawn:
+            want = not any(reference_is_subsequence(f, w) for f in lang.obstructions)
+            assert lang.contains(w) == want, (lang.name, w)
+            verdicts.add(want)
+        assert verdicts == {True, False}, lang.name
 
 
 def test_slice_examples():

@@ -551,6 +551,27 @@ def test_depth_profile_max_n_caps_both_problems():
     assert row.values["md"] == membership_depth_det(L3, 15, max_n=15)
 
 
+def test_depth_profile_builds_one_recognition_table_per_length(monkeypatch):
+    build, calls = Language.slice_splits, []
+
+    def counted_build(self, n, *args):
+        calls.append(n)
+        return build(self, n, *args)
+
+    monkeypatch.setattr(Language, "slice_splits", counted_build)
+    L3 = bundled_language("L3")
+    profile = depth_profile(L3, 1, 16, ("rd", "ra"))
+    assert calls == list(range(1, 17))
+    for row in profile.rows:
+        assert row.values["rd"] == recognition_depth_det(L3, row.n)
+        assert row.values["ra"] == recognition_depth_nondet(L3, row.n)
+    # a table past the slice cap leaves both recognition cells SKIPPED
+    calls.clear()
+    (row,) = depth_profile(bundled_language("L2"), 13, 13, ("rd", "ra"), max_n=13).rows
+    assert calls == [13]
+    assert (row.sources["rd"], row.sources["ra"]) == ("SKIPPED", "SKIPPED")
+
+
 def test_depth_profile_rejects_bad_input():
     L3 = bundled_language("L3")
     with pytest.raises(ValueError):
