@@ -104,6 +104,35 @@ def decompose_into_runs(lang: Language, w: str) -> RunDecomposition:
     )
 
 
+def _slice_block_length(lang: Language, n: int) -> int:
+    """Block length t, checking that slices of length n hold ten blocks."""
+    t = block_length(lang)
+    if n < 10 * t:
+        raise BuilderPreconditionError(f"{lang.name}: slice length {n} is below 10*t = {10 * t}")
+    return t
+
+
+def _boundary_rule(w: str, n: int, t: int):
+    """What the inner boundary blocks ``w[t:2t]`` and ``w[n-2t:n-t]`` leave open.
+
+    For a member, ``(a, b, third)``: off the ``third`` positions (the block
+    next to a mixed boundary block) the interior ``w[2t:n-2t]`` is all ``a``
+    when ``a == b``, and otherwise a run of ``a``, a fragment of at most t
+    letters still to find, and a run of ``b``.  None when both blocks are
+    mixed, which no member has.
+    """
+    left, right = w[t : 2 * t], w[n - 2 * t : n - t]
+    left_pure = left == left[0] * t
+    right_pure = right == right[0] * t
+    if left_pure and right_pure:
+        return left[0], right[0], ()
+    if left_pure:
+        return left[0], left[0], tuple(range(n - 3 * t + 1, n - 2 * t + 1))
+    if right_pure:
+        return right[0], right[0], tuple(range(2 * t + 1, 3 * t + 1))
+    return None
+
+
 class BlockRecognitionStrategy(QueryStrategy):
     """Adaptive recognizer for one slice of a finite-homogeneity language.
 
@@ -118,20 +147,16 @@ class BlockRecognitionStrategy(QueryStrategy):
 
     The strategy reads in rounds: the four boundary blocks, a third block, one
     search block, or the window around a mixed block.  A state is the immutable
-    tuple ``(answers, todo, step, label)``: the ``(position, bit)`` answers so
-    far, the positions still to ask in this round, what the round decides once
-    it is read (``("fill", letter)``, ``("probe", a, abar, lo, hi, r)`` or
-    ``("window", a, abar, lo_w)``; None for the boundary round), and the label.
-    The strategy has finished when ``todo`` is empty.  ``next_action`` reads
-    the state in O(1); ``advance`` runs the decision once per round.
+    tuple ``(known, todo, step, label)``: the word read so far, with ``?`` at
+    each unread position, the positions still to ask in this round, what the
+    round decides once it is read (``("finish", a, b, until)`` or
+    ``("probe", a, b, lo, hi, r)``; None for the boundary round), and the
+    label.  The strategy has finished when ``todo`` is empty.  ``next_action``
+    reads the state in O(1); ``advance`` runs the decision once per round.
     """
 
     def __init__(self, lang: Language, n: int):
-        t = block_length(lang)
-        if n < 10 * t:
-            raise BuilderPreconditionError(
-                f"{lang.name}: slice length {n} is below 10*t = {10 * t}"
-            )
+        t = _slice_block_length(lang, n)
         self.lang = lang
         self.n = n
         self.t = t
@@ -140,11 +165,7 @@ class BlockRecognitionStrategy(QueryStrategy):
         # whole t-blocks over the interior; the division remainder is absorbed
         # into the final block, which may be up to 2t-1 letters long
         self.block_count = (n - 4 * t) // t
-        # the first two blocks, then the last two: answers[t:2t] is the inner
-        # left block and answers[2t:3t] the inner right one
         self._edges = tuple(range(1, 2 * t + 1)) + tuple(range(n - 2 * t + 1, n + 1))
-        self._third_left = tuple(range(2 * t + 1, 3 * t + 1))
-        self._third_right = tuple(range(n - 3 * t + 1, n - 2 * t + 1))
         self._asks = tuple(Ask(p) for p in range(1, n + 1))  # frozen, so shared by every state
         self.fallback = lang.first_slice_word(n)
 
@@ -161,8 +182,8 @@ class BlockRecognitionStrategy(QueryStrategy):
 
     def initial_state(self):
         if self.fallback is None:
-            return ((), (), None, None)  # empty slice: nothing to recognize
-        return ((), self._edges, None, None)
+            return ("?" * self.n, (), None, None)  # empty slice: nothing to recognize
+        return ("?" * self.n, self._edges, None, None)
 
     def next_action(self, state):
         todo = state[1]
@@ -171,72 +192,62 @@ class BlockRecognitionStrategy(QueryStrategy):
         return Finish(state[3])
 
     def advance(self, state, position: int, bit: int):
-        answers, todo, step, _ = state
+        known, todo, step, _ = state
         if not todo or todo[0] != position:
             raise StrategyError(
                 f"advance at position {position} does not answer the strategy's query"
             )
-        answers = answers + ((position, bit),)
+        known = known[: position - 1] + ALPHABET[bit] + known[position:]
         if len(todo) > 1:
-            return (answers, todo[1:], step, None)
-        return self._decide(answers, step)
+            return (known, todo[1:], step, None)
+        return self._decide(known, step)
 
-    def _decide(self, answers, step):
+    def _round(self, known: str, todo, step):
+        """The state that reads ``todo`` and then decides ``step``."""
+        return (known, todo, step, None) if todo else self._decide(known, step)
+
+    def _decide(self, known: str, step):
         """The state after a round: the next round to read, or the label."""
-        t = self.t
         if step is None:  # the boundary blocks
-            left = {bit for _, bit in answers[t : 2 * t]}
-            right = {bit for _, bit in answers[2 * t : 3 * t]}
-            if len(left) == 1 and len(right) == 1:
-                a, abar = left.pop(), right.pop()
-                if a == abar:
-                    return self._finish(answers, fill_letter=a, fill_until=self.mid_end)
-                return self._probe(answers, a, abar, 0, self.block_count - 1)
-            if len(left) == 1:
-                return (answers, self._third_right, ("fill", left.pop()), None)
-            if len(right) == 1:
-                return (answers, self._third_left, ("fill", right.pop()), None)
-            # impossible for a member: both boundary blocks cannot meet the
-            # short middle fragment at once
-            return (answers, (), None, self.fallback)
-        if step[0] == "fill":
-            return self._finish(answers, fill_letter=step[1], fill_until=self.mid_end)
-        if step[0] == "window":
-            _, a, abar, lo_w = step
-            return self._finish(answers, fill_letter=a, fill_until=lo_w - 1, rest=abar)
-        _, a, abar, lo, hi, r = step
+            rule = _boundary_rule(known, self.n, self.t)
+            if rule is None:
+                return (known, (), None, self.fallback)
+            a, b, third = rule
+            if a != b:
+                return self._probe(known, a, b, 0, self.block_count - 1)
+            return self._round(known, third, ("finish", a, a, self.mid_end))
+        if step[0] == "finish":
+            return self._finish(known, *step[1:])
+        _, a, b, lo, hi, r = step
         start, end = self.block_span(r)
-        vals = {bit for _, bit in answers[-(end - start + 1) :]}  # the block just read
+        vals = set(known[start - 1 : end])  # the block just read
         if vals == {a}:
-            return self._probe(answers, a, abar, r + 1, hi)
-        if vals == {abar}:
-            return self._probe(answers, a, abar, lo, r - 1)
+            return self._probe(known, a, b, r + 1, hi)
+        if vals == {b}:
+            return self._probe(known, a, b, lo, r - 1)
         lo_w = max(self.mid_start, start - self.t)
         hi_w = min(self.mid_end, end + self.t)
-        asked = {p for p, _ in answers}  # earlier rounds may have read part of the window
-        todo = tuple(p for p in range(lo_w, hi_w + 1) if p not in asked)
-        step = ("window", a, abar, lo_w)
-        return (answers, todo, step, None) if todo else self._decide(answers, step)
+        # earlier rounds may have read part of the window
+        todo = tuple(p for p in range(lo_w, hi_w + 1) if known[p - 1] == "?")
+        return self._round(known, todo, ("finish", a, b, lo_w - 1))
 
-    def _probe(self, answers, a: int, abar: int, lo: int, hi: int):
+    def _probe(self, known: str, a: str, b: str, lo: int, hi: int):
         """Read the middle block of ``lo..hi``, or finish once the search is empty."""
         if lo <= hi:
             r = lo + (hi - lo) // 2
             start, end = self.block_span(r)
-            return (answers, tuple(range(start, end + 1)), ("probe", a, abar, lo, hi, r), None)
+            return (known, tuple(range(start, end + 1)), ("probe", a, b, lo, hi, r), None)
         boundary = self.block_span(hi)[1] if hi >= 0 else self.mid_start - 1
-        return self._finish(answers, fill_letter=a, fill_until=boundary, rest=abar)
+        return self._finish(known, a, b, boundary)
 
-    def _finish(self, answers, fill_letter: int, fill_until: int, rest: int | None = None):
-        codes = ALPHABET.encode()
-        label = bytearray(codes[fill_letter : fill_letter + 1] * fill_until)
-        label += (b"?" if rest is None else codes[rest : rest + 1]) * (self.n - fill_until)
-        for p, bit in answers:
-            label[p - 1] = codes[bit]
-        word = label.decode()
-        if "?" in word or not self.lang.contains(word):
-            word = self.fallback  # answers match no member
-        return (answers, (), None, word)
+    def _finish(self, known: str, a: str, b: str, until: int):
+        """The label: the word read so far with its unread letters ``a`` up to
+        position ``until`` and ``b`` after it, or the least slice word when
+        that is no member (the answers match no member)."""
+        word = known[:until].replace("?", a) + known[until:].replace("?", b)
+        if not self.lang.contains(word):
+            word = self.fallback
+        return (known, (), None, word)
 
 
 def block_recognition_strategy(lang: Language, n: int) -> BlockRecognitionStrategy:
@@ -285,42 +296,26 @@ def block_certificate(lang: Language, n: int, w: str) -> tuple[int, ...]:
     """Certificate of at most 7t positions separating ``w`` within its slice,
     as sorted 1-based positions.
 
-    The 4t boundary-block positions always go in.  Depending on which boundary
-    block is mixed, one adjacent block (t more positions) suffices; when the
-    boundary blocks show opposite pure letters, a window of at most 3t
-    positions covering the interior letter switch completes the certificate.
+    The 4t boundary-block positions always go in, and so does the third block
+    that the boundary rule reads next to a mixed boundary block (t more
+    positions).  When the boundary blocks show opposite pure letters, a window
+    of at most 3t positions covering the interior letter switch completes the
+    certificate.
     """
-    t = block_length(lang)
-    if n < 10 * t:
-        raise BuilderPreconditionError(f"{lang.name}: slice length {n} is below 10*t = {10 * t}")
+    t = _slice_block_length(lang, n)
     if len(w) != n or not lang.contains(w):
         raise BuilderPreconditionError(f"{w!r} is not a member of {lang.name}({n})")
-    lead = list(range(1, 2 * t + 1))
-    trail = list(range(n - 2 * t + 1, n + 1))
-    positions = set(lead + trail)
-    left = w[t : 2 * t]
-    right = w[n - 2 * t : n - t]
-    left_pure = len(set(left)) == 1
-    right_pure = len(set(right)) == 1
-    if left_pure and right_pure and left[0] == right[0]:
-        pass
-    elif left_pure and not right_pure:
-        positions.update(range(n - 3 * t + 1, n - 2 * t + 1))
-    elif not left_pure and right_pure:
-        positions.update(range(2 * t + 1, 3 * t + 1))
-    elif left_pure and right_pure:
-        a, abar = left[0], right[0]
-        mid_start, mid_end = 2 * t + 1, n - 2 * t
-        interior = w[mid_start - 1 : mid_end]
-        first_op = interior.find(abar)
-        last_a = interior.rfind(a)
-        first_op = mid_start + first_op if first_op >= 0 else mid_end + 1
-        last_a = mid_start + last_a if last_a >= 0 else mid_start - 1
-        lo = max(mid_start, first_op - t)
-        hi = min(mid_end, last_a + t)
-        positions.update(range(lo, hi + 1))
-    else:
+    rule = _boundary_rule(w, n, t)
+    if rule is None:
         raise AssertionError("unreachable: member with both boundary blocks mixed")
+    a, b, third = rule
+    positions = set(range(1, 2 * t + 1)) | set(range(n - 2 * t + 1, n + 1)) | set(third)
+    if a != b:
+        # the switch lies between the last a and the first b of the interior;
+        # the pure boundary blocks end both searches
+        first_b = w.find(b, 2 * t) + 1
+        last_a = w.rfind(a, 0, n - 2 * t) + 1
+        positions.update(range(max(2 * t + 1, first_b - t), min(n - 2 * t, last_a + t) + 1))
     return tuple(sorted(positions))
 
 

@@ -408,7 +408,8 @@ def tree_from_json(text: str) -> DecisionTree:
 
 
 def tree_to_dot(tree: DecisionTree) -> str:
-    """GraphViz rendering: query nodes as circles labeled x_i, leaves boxed."""
+    """GraphViz rendering: query nodes as circles labeled x_i, leaves boxed
+    with their labels escaped for a quoted DOT string."""
     lines = ["digraph decision_tree {", '  root [shape=point, label=""];']
     counter = 0
 
@@ -417,7 +418,8 @@ def tree_to_dot(tree: DecisionTree) -> str:
         name = f"n{counter}"
         counter += 1
         if isinstance(node, Leaf):
-            lines.append(f'  {name} [shape=box, label="{node.label}"];')
+            label = node.label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {name} [shape=box, label="{label}"];')
         else:
             lines.append(f'  {name} [shape=circle, label="x_{node.position}"];')
         if edge_label is None:

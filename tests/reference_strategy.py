@@ -9,11 +9,16 @@ must ask the same positions in the same order and announce the same label.
 ``reference_worst_case_queries`` is ``builders.worst_case_queries`` as it was
 before it played the strategy as a tree over the slice: it traces every slice
 word on its own.
+
+``reference_block_certificate`` is ``builders.block_certificate`` as it was
+before it shared the boundary-block rule with the strategy: it classifies the
+inner boundary blocks itself.  The production certificate must hold the same
+positions.
 """
 
 from __future__ import annotations
 
-from subword_trees.builders import block_length
+from subword_trees.builders import BuilderPreconditionError, block_length
 from subword_trees.language import ALPHABET, Language
 from subword_trees.trees import Ask, Finish, QueryStrategy, trace_strategy
 
@@ -110,3 +115,46 @@ class ReferenceBlockStrategy(QueryStrategy):
         if "?" in word or not self.lang.contains(word):
             return Finish(self.fallback)
         return Finish(word)
+
+
+def reference_block_certificate(lang: Language, n: int, w: str) -> tuple[int, ...]:
+    """Certificate of at most 7t positions separating ``w`` within its slice,
+    as sorted 1-based positions.
+
+    The 4t boundary-block positions always go in.  Depending on which boundary
+    block is mixed, one adjacent block (t more positions) suffices; when the
+    boundary blocks show opposite pure letters, a window of at most 3t
+    positions covering the interior letter switch completes the certificate.
+    """
+    t = block_length(lang)
+    if n < 10 * t:
+        raise BuilderPreconditionError(f"{lang.name}: slice length {n} is below 10*t = {10 * t}")
+    if len(w) != n or not lang.contains(w):
+        raise BuilderPreconditionError(f"{w!r} is not a member of {lang.name}({n})")
+    lead = list(range(1, 2 * t + 1))
+    trail = list(range(n - 2 * t + 1, n + 1))
+    positions = set(lead + trail)
+    left = w[t : 2 * t]
+    right = w[n - 2 * t : n - t]
+    left_pure = len(set(left)) == 1
+    right_pure = len(set(right)) == 1
+    if left_pure and right_pure and left[0] == right[0]:
+        pass
+    elif left_pure and not right_pure:
+        positions.update(range(n - 3 * t + 1, n - 2 * t + 1))
+    elif not left_pure and right_pure:
+        positions.update(range(2 * t + 1, 3 * t + 1))
+    elif left_pure and right_pure:
+        a, abar = left[0], right[0]
+        mid_start, mid_end = 2 * t + 1, n - 2 * t
+        interior = w[mid_start - 1 : mid_end]
+        first_op = interior.find(abar)
+        last_a = interior.rfind(a)
+        first_op = mid_start + first_op if first_op >= 0 else mid_end + 1
+        last_a = mid_start + last_a if last_a >= 0 else mid_start - 1
+        lo = max(mid_start, first_op - t)
+        hi = min(mid_end, last_a + t)
+        positions.update(range(lo, hi + 1))
+    else:
+        raise AssertionError("unreachable: member with both boundary blocks mixed")
+    return tuple(sorted(positions))

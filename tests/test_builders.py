@@ -40,7 +40,11 @@ from subword_trees.oracle import (
 )
 
 from conftest import iter_antichains, small_languages
-from reference_strategy import ReferenceBlockStrategy, reference_worst_case_queries
+from reference_strategy import (
+    ReferenceBlockStrategy,
+    reference_block_certificate,
+    reference_worst_case_queries,
+)
 
 
 def finite_hom_corpus(corpus):
@@ -257,6 +261,17 @@ def test_worst_case_queries_matches_reference(corpus):
                 assert worst_case_queries(lang, strategy, count - 1) is None
 
 
+def test_strategy_never_queries_a_position_twice(corpus):
+    # the window round reads around a mixed block, which may overlap blocks
+    # that earlier rounds read
+    for lang in replay_languages(corpus):
+        for n in replay_lengths(block_length(lang)):
+            strategy = block_recognition_strategy(lang, n)
+            for w in lang.iter_slice(n):
+                queried, _ = trace_strategy(strategy, w)
+                assert len(queried) == len(set(queried)), (lang.name, n, w, queried)
+
+
 class ForgetfulStrategy(BlockRecognitionStrategy):
     """Asks what the block strategy asks, then announces the least member."""
 
@@ -385,6 +400,26 @@ def test_certificate_preconditions():
         block_certificate(bundled_language("L1"), 20, "0" * 20)
     with pytest.raises(BuilderPreconditionError):
         block_certificate(bundled_language("L3"), 20, "1" + "0" * 19)
+
+
+def test_certificate_matches_reference(corpus):
+    for lang in replay_languages(corpus):
+        for n in replay_lengths(block_length(lang)):
+            for w in lang.iter_slice(n):
+                want = reference_block_certificate(lang, n, w)
+                assert block_certificate(lang, n, w) == want, (lang.name, n, w)
+
+
+def test_block_builders_share_the_slice_length_precondition(corpus):
+    for lang in replay_languages(corpus):
+        t = block_length(lang)
+        n = 10 * t - 1
+        want = f"{lang.name}: slice length {n} is below 10*t = {10 * t}"
+        with pytest.raises(BuilderPreconditionError) as strategy_error:
+            block_recognition_strategy(lang, n)
+        with pytest.raises(BuilderPreconditionError) as certificate_error:
+            block_certificate(lang, n, "0" * n)
+        assert str(strategy_error.value) == str(certificate_error.value) == want
 
 
 # -- certificate union trees -----------------------------------------------------------

@@ -554,3 +554,8 @@ def test_dot_output():
     assert 'label="x_1"' in dot
     assert "shape=box" in dot
     assert '[label="0"]' in dot and '[label="1"]' in dot
+    # leaf labels are escaped inside the quoted DOT string
+    tree = DecisionTree((Branch(1, ((0, Leaf('a"b')), (1, Leaf("c\\d")))),))
+    dot = tree_to_dot(tree)
+    assert r'[shape=box, label="a\"b"];' in dot
+    assert r'[shape=box, label="c\\d"];' in dot
