@@ -11,11 +11,9 @@ from .builders import (
     BlockRecognitionStrategy,
     BuilderPreconditionError,
     CertificateError,
-    RunDecomposition,
     block_certificate,
     block_length,
     block_recognition_strategy,
-    decompose_into_runs,
     distinguishing_set_tree,
     membership_tree,
     tree_from_certificates,

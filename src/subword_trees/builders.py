@@ -12,7 +12,6 @@ constant-depth trees when slices stay bounded.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .dimensions import INFINITY, homogeneity_dimension, slice_size_bound
 from .language import ALPHABET, CapExceeded, Language, agreeing
@@ -40,68 +39,15 @@ class CertificateError(ValueError):
     """A certificate map does not cover or separate the slice."""
 
 
-@dataclass(frozen=True)
-class RunDecomposition:
-    """word == prefix + letter^left_run + middle + other^right_run + suffix."""
-
-    prefix: str
-    letter: int
-    left_run: int
-    middle: str
-    right_run: int
-    suffix: str
-
-    @property
-    def word(self) -> str:
-        a = ALPHABET[self.letter]
-        b = ALPHABET[1 - self.letter]
-        return self.prefix + a * self.left_run + self.middle + b * self.right_run + self.suffix
-
-
-def _require_finite_hom(lang: Language) -> int:
+def block_length(lang: Language) -> int:
+    """Block size used by the adaptive strategy: twice the homogeneity dimension,
+    floored at 1 so the degenerate dimension-0 case still has blocks."""
     hom = homogeneity_dimension(lang)
     if hom == INFINITY:
         raise BuilderPreconditionError(
             f"{lang.name}: homogeneity dimension is infinite; run-based builders do not apply"
         )
-    return int(hom)
-
-
-def block_length(lang: Language) -> int:
-    """Block size used by the adaptive strategy: twice the homogeneity dimension,
-    floored at 1 so the degenerate dimension-0 case still has blocks."""
-    return max(2 * _require_finite_hom(lang), 1)
-
-
-def decompose_into_runs(lang: Language, w: str) -> RunDecomposition:
-    """Split a member into prefix / letter-run / middle / opposite-run / suffix.
-
-    The three non-run fragments each have length at most twice the homogeneity
-    dimension.  Found by bounded search over fragment widths, taking the
-    maximal run lengths for each split; existence is guaranteed for members.
-    """
-    hom = _require_finite_hom(lang)
-    if not lang.contains(w):
-        raise BuilderPreconditionError(f"{w!r} is not a member of {lang.name}")
-    bound = 2 * hom
-    n = len(w)
-    for letter in (0, 1):
-        a = ALPHABET[letter]
-        b = ALPHABET[1 - letter]
-        for lp in range(min(bound, n) + 1):
-            prefix = w[:lp]
-            for ls in range(min(bound, n - lp) + 1):
-                suffix = w[n - ls :] if ls else ""
-                mid = w[lp : n - ls]
-                i = len(mid) - len(mid.lstrip(a))
-                rest = mid[i:]
-                j = len(rest) - len(rest.rstrip(b))
-                middle = rest[: len(rest) - j]
-                if len(middle) <= bound:
-                    return RunDecomposition(prefix, letter, i, middle, j, suffix)
-    raise AssertionError(
-        "unreachable: every member decomposes when the homogeneity dimension is finite"
-    )
+    return max(2 * int(hom), 1)
 
 
 def _slice_block_length(lang: Language, n: int) -> int:
@@ -348,16 +294,18 @@ def tree_from_certificates(
     return DecisionTree(children)
 
 
-def distinguishing_set_tree(lang: Language, n: int) -> DecisionTree:
+def distinguishing_set_tree(lang: Language, n: int, max_slice: int | None = None) -> DecisionTree:
     """Deterministic recognition tree reading one fixed distinguishing set.
 
     Picks a smallest position set separating every pair of slice words (exact
     search up to ``MAX_EXACT_DISTINGUISHING`` words, greedy pair cover beyond),
     then builds the complete tree that queries those positions in increasing
     order.  Leaves on paths matching no member carry the lexicographically least
-    member.
+    member.  This is the paper's constant-depth tree for languages whose slices
+    stay bounded (classes 4 and 5).  Raises ``CapExceeded`` when the slice has
+    more than ``max_slice`` words.
     """
-    words = lang.slice(n)
+    words = lang.slice_splits(n, max_slice)[0]
     if not words:
         return DecisionTree(())
     if len(words) == 1:

@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import builders, oracle
-from .dimensions import MEASURES, classify, format_extended
+from .dimensions import MEASURES, classify, format_extended, slice_size_bound
 from .language import (
     BUNDLED_NAMES,
     Language,
@@ -176,8 +176,15 @@ def cmd_enumerate(args) -> int:
 
 
 def _paper_rd(lang: Language, n: int, max_slice: int) -> int | None:
-    """Measured worst-case query count of the block strategy over the slice;
-    None when the strategy does not apply or the slice exceeds ``max_slice``."""
+    """Worst-case query count of the paper's construction over the slice: the
+    depth of the distinguishing-set tree when slices stay bounded (classes 4
+    and 5), else the block strategy measured on every slice word.  None when
+    the construction does not apply or the slice exceeds ``max_slice``."""
+    if slice_size_bound(lang) is not None:
+        try:
+            return builders.distinguishing_set_tree(lang, n, max_slice).depth()
+        except oracle.CapExceeded:
+            return None
     try:
         strategy = builders.block_recognition_strategy(lang, n)
     except builders.BuilderPreconditionError:
@@ -244,6 +251,8 @@ def _build_tree(args, lang: Language, n: int) -> DecisionTree | dict:
         if mode == NONDET:
             certs = {w: builders.block_certificate(lang, n, w) for w in lang.iter_slice(n)}
             return builders.tree_from_certificates(lang, n, certs)
+        if slice_size_bound(lang) is not None:  # classes 4 and 5: constant depth
+            return builders.distinguishing_set_tree(lang, n, args.max_slice)
         strategy = builders.block_recognition_strategy(lang, n)
         if n <= MATERIALIZE_LIMIT:
             return materialize_strategy(strategy)
@@ -341,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--algorithm",
         choices=("exact", "paper"),
         default="exact",
-        help="paper: fill rd cells beyond the oracle caps by simulating the block strategy",
+        help="paper: fill rd cells beyond the oracle caps with the paper's construction "
+        "(the distinguishing-set tree for classes 4 and 5, else the block strategy)",
     )
     p.add_argument("--format", choices=("table", "csv", "json"), default="csv")
     p.add_argument("--max-n", type=_positive_int, help="override the oracle length caps")

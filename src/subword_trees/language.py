@@ -201,14 +201,14 @@ class SliceAutomaton:
     states collapse into one.  A word is a member iff its run ends live.
 
     Every edge either loops or advances a counter, so a run never returns to a
-    state it has left.  Four passes read the transition table:
-    ``count_words`` counts the slice forward; ``_backward`` builds the one
-    backward table of states that can still reach the wanted end, which
-    ``find_consistent`` walks to the lexicographically least witness
-    (``exists_consistent`` asks it); ``iter_words`` lists
-    the slice one letter run at a time, pruned by that table; and
-    ``truth_table`` builds the slice indicator bottom up, one table per state
-    and length.  Every pass raises ``ValueError`` for a negative length.
+    state it has left.  Three passes read the transition table:
+    ``_backward`` builds the one backward table counting, per state, the
+    endings that reach the wanted end, which ``count_words`` and
+    ``exists_consistent`` read at the start state and ``find_consistent``
+    walks to the lexicographically least witness; ``iter_words`` lists the
+    slice one letter run at a time, pruned by that table; and ``truth_table``
+    builds the slice indicator bottom up, one table per state and length.
+    Every pass raises ``ValueError`` for a negative length.
     """
 
     DEAD = 0  # state id reserved for the absorbing dead state
@@ -249,17 +249,8 @@ class SliceAutomaton:
             self._trans[sid] = (nxt[0], nxt[1])
 
     def count_words(self, n: int) -> int:
-        """The number of members of length ``n``, by a forward pass."""
-        _check_length(n)
-        counts = {self.start: 1} if self.start != self.DEAD else {}
-        for _ in range(n):
-            nxt: dict[int, int] = {}
-            for sid, c in counts.items():
-                for t in self._trans[sid]:
-                    if t != self.DEAD:
-                        nxt[t] = nxt.get(t, 0) + c
-            counts = nxt
-        return sum(counts.values())
+        """The number of members of length ``n``, read off the backward table."""
+        return self._backward(n, {}, True)[n][self.start]
 
     count_consistent = count_words  # perfbench/tracer.py wraps both names
 
@@ -292,7 +283,7 @@ class SliceAutomaton:
             else:
                 stack.pop()
 
-    def _runs(self, sid: int, k: int, prefix: str, live: list[set[int]]):
+    def _runs(self, sid: int, k: int, prefix: str, live: list[list[int]]):
         """Members below ``prefix`` in lexicographic order, from state ``sid``
         with ``k`` letters left: finished words, and ``(state, letters left,
         prefix)`` frames for ``iter_words`` to expand in place."""
@@ -301,43 +292,44 @@ class SliceAutomaton:
             yield prefix + "0" * k
             if t1 != self.DEAD:
                 for j in range(k - 1, -1, -1):
-                    if t1 in live[k - j - 1]:
+                    if live[k - j - 1][t1]:
                         yield (t1, k - j - 1, prefix + "0" * j + "1")
         elif t1 == sid:  # 1-loop: every 1^j 0 branch precedes 1^k
             if t0 != self.DEAD:
                 for j in range(k):
-                    if t0 in live[k - j - 1]:
+                    if live[k - j - 1][t0]:
                         yield (t0, k - j - 1, prefix + "1" * j + "0")
             yield prefix + "1" * k
         elif k == 0:
             yield prefix
         else:
             for letter, t in zip(ALPHABET, (t0, t1)):
-                if t in live[k - 1]:
+                if live[k - 1][t]:
                     yield (t, k - 1, prefix + letter)
 
-    def _backward(self, n: int, assignment: dict[int, int], member: bool) -> list[set[int]]:
-        """The backward table: entry ``m`` holds the states (dead included) from
-        which the last ``m`` letters, read under ``assignment`` (1-based
-        positions to bits), reach a member end, or a non-member end if
-        ``member`` is false."""
+    def _backward(self, n: int, assignment: dict[int, int], member: bool) -> list[list[int]]:
+        """The backward table: ``table[m][sid]`` counts the words of ``m``
+        letters that, read from state ``sid`` (dead included) as the last
+        ``m`` letters under ``assignment`` (1-based positions to bits), reach
+        a member end, or a non-member end if ``member`` is false."""
+        _check_length(n)
         trans = self._trans
-        ok = [set(range(1, len(trans))) if member else {self.DEAD}]
+        row = [int(not member)] + [int(member)] * (len(trans) - 1)  # DEAD is state 0
+        table = [row]
         for pos in range(n, 0, -1):
-            nxt = ok[-1]
             forced = assignment.get(pos)
             if forced is None:
-                ok.append({sid for sid, (t0, t1) in enumerate(trans) if t0 in nxt or t1 in nxt})
+                row = [row[t0] + row[t1] for t0, t1 in trans]
             else:
-                ok.append({sid for sid, step in enumerate(trans) if step[forced] in nxt})
-        return ok
+                row = [row[step[forced]] for step in trans]
+            table.append(row)
+        return table
 
     def find_consistent(self, n: int, assignment: dict[int, int], member: bool) -> str | None:
         """The lexicographically least word matching ``assignment`` (1-based
         positions to bits) with the requested membership, or None."""
-        _check_length(n)
         ok = self._backward(n, assignment, member)
-        if self.start not in ok[n]:
+        if not ok[n][self.start]:
             return None
         trans = self._trans
         out = []
@@ -346,7 +338,7 @@ class SliceAutomaton:
             forced = assignment.get(pos)
             for bit in (0, 1) if forced is None else (forced,):
                 t = trans[sid][bit]
-                if t in ok[n - pos]:
+                if ok[n - pos][t]:
                     out.append(ALPHABET[bit])
                     sid = t
                     break
@@ -370,7 +362,7 @@ class SliceAutomaton:
     def exists_consistent(self, n: int, assignment: dict[int, int], member: bool) -> bool:
         """Is there a length-n word matching ``assignment`` that is a member (or, if
         ``member`` is false, a non-member)?"""
-        return self.find_consistent(n, assignment, member) is not None
+        return self._backward(n, assignment, member)[n][self.start] > 0
 
 
 @lru_cache(maxsize=None)  # one entry per table width

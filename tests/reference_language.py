@@ -13,6 +13,10 @@ membership predicate, independent of the automaton.
 moved to one ``str.find`` scan per letter: one pass of a ``str`` iterator over
 ``w``, stepped by a generator.
 
+``reference_count_words`` is ``SliceAutomaton.count_words`` as it was before
+it read the counting backward table: a forward pass that carries a dict of
+per-state counts over the live states, one letter at a time.
+
 ``string_truth_table`` and ``division_index_masks`` are how the membership
 oracle built its truth table and index masks before ``SliceAutomaton`` took
 them over: the table from the slice's word strings, the masks from one
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from subword_trees.language import ALPHABET, CapExceeded, Language, SliceAutomaton
+from subword_trees.language import ALPHABET, CapExceeded, Language, SliceAutomaton, _check_length
 
 MAX_BRUTE_N = 22
 
@@ -85,3 +89,17 @@ def reference_iter_words(aut: SliceAutomaton, n: int) -> Iterator[str]:
         else:
             chars.append(ALPHABET[bit])
             stack.append([t, 0])
+
+
+def reference_count_words(aut: SliceAutomaton, n: int) -> int:
+    """The number of members of length ``n``, by a forward pass."""
+    _check_length(n)
+    counts = {aut.start: 1} if aut.start != aut.DEAD else {}
+    for _ in range(n):
+        nxt: dict[int, int] = {}
+        for sid, c in counts.items():
+            for t in aut._trans[sid]:
+                if t != aut.DEAD:
+                    nxt[t] = nxt.get(t, 0) + c
+        counts = nxt
+    return sum(counts.values())

@@ -14,11 +14,18 @@ word on its own.
 before it shared the boundary-block rule with the strategy: it classifies the
 inner boundary blocks itself.  The production certificate must hold the same
 positions.
+
+``decompose_into_runs`` splits a member into the run shape that the block
+builders rely on (the paper's run-decomposition lemma).  No builder calls it;
+the tests use it to check the lemma on every slice word.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from subword_trees.builders import BuilderPreconditionError, block_length
+from subword_trees.dimensions import INFINITY, homogeneity_dimension
 from subword_trees.language import ALPHABET, Language
 from subword_trees.trees import Ask, Finish, QueryStrategy, trace_strategy
 
@@ -158,3 +165,56 @@ def reference_block_certificate(lang: Language, n: int, w: str) -> tuple[int, ..
     else:
         raise AssertionError("unreachable: member with both boundary blocks mixed")
     return tuple(sorted(positions))
+
+
+@dataclass(frozen=True)
+class RunDecomposition:
+    """word == prefix + letter^left_run + middle + other^right_run + suffix."""
+
+    prefix: str
+    letter: int
+    left_run: int
+    middle: str
+    right_run: int
+    suffix: str
+
+    @property
+    def word(self) -> str:
+        a = ALPHABET[self.letter]
+        b = ALPHABET[1 - self.letter]
+        return self.prefix + a * self.left_run + self.middle + b * self.right_run + self.suffix
+
+
+def decompose_into_runs(lang: Language, w: str) -> RunDecomposition:
+    """Split a member into prefix / letter-run / middle / opposite-run / suffix.
+
+    The three non-run fragments each have length at most twice the homogeneity
+    dimension.  Found by bounded search over fragment widths, taking the
+    maximal run lengths for each split; existence is guaranteed for members.
+    """
+    hom = homogeneity_dimension(lang)
+    if hom == INFINITY:
+        raise BuilderPreconditionError(
+            f"{lang.name}: homogeneity dimension is infinite; run-based builders do not apply"
+        )
+    if not lang.contains(w):
+        raise BuilderPreconditionError(f"{w!r} is not a member of {lang.name}")
+    bound = 2 * int(hom)
+    n = len(w)
+    for letter in (0, 1):
+        a = ALPHABET[letter]
+        b = ALPHABET[1 - letter]
+        for lp in range(min(bound, n) + 1):
+            prefix = w[:lp]
+            for ls in range(min(bound, n - lp) + 1):
+                suffix = w[n - ls :] if ls else ""
+                mid = w[lp : n - ls]
+                i = len(mid) - len(mid.lstrip(a))
+                rest = mid[i:]
+                j = len(rest) - len(rest.rstrip(b))
+                middle = rest[: len(rest) - j]
+                if len(middle) <= bound:
+                    return RunDecomposition(prefix, letter, i, middle, j, suffix)
+    raise AssertionError(
+        "unreachable: every member decomposes when the homogeneity dimension is finite"
+    )

@@ -15,7 +15,6 @@ from subword_trees import (
     block_recognition_strategy,
     bundled_language,
     classify,
-    decompose_into_runs,
     heterogeneity_dimension,
     homogeneity_dimension,
     finiteness_flags,
@@ -34,6 +33,7 @@ from subword_trees.oracle import (
 
 from conftest import corpus, iter_antichains, random_antichains
 from reference_language import brute_slice
+from reference_strategy import decompose_into_runs
 
 CORPUS = corpus()
 BY_NAME = {lang.name: lang for lang in CORPUS}

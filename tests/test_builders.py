@@ -20,7 +20,6 @@ from subword_trees import (
     block_length,
     block_recognition_strategy,
     bundled_language,
-    decompose_into_runs,
     distinguishing_set_tree,
     homogeneity_dimension,
     materialize_strategy,
@@ -42,6 +41,7 @@ from subword_trees.oracle import (
 from conftest import iter_antichains, small_languages
 from reference_strategy import (
     ReferenceBlockStrategy,
+    decompose_into_runs,
     reference_block_certificate,
     reference_worst_case_queries,
 )

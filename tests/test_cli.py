@@ -5,10 +5,12 @@ from pathlib import Path
 
 import pytest
 
-from subword_trees import bundled_path, cli, tree_from_json, tree_to_json
+from subword_trees import bundled_path, cli, slice_size_bound, tree_from_json, tree_to_json
 from subword_trees.cli import main
 from subword_trees.oracle import optimal_recognition_tree
 from subword_trees.language import bundled_language
+
+from conftest import corpus
 
 
 def run(capsys, *argv):
@@ -156,6 +158,73 @@ def test_depths_paper_requires_rd(capsys):
         capsys, "depths", "L3", "-n", "1..2", "--algorithm", "paper", "--measures", "md"
     )
     assert code == 1
+
+
+# classes 4 and 5 (slices stay bounded): the paper's distinguishing-set tree
+BOUNDED_AVOIDERS = {"avoid-01-0000": ["01", "0000"], "avoid-001-0000-0111": ["001", "0000", "0111"]}
+
+
+def bounded_slice_docs(tmp_path) -> dict[str, str]:
+    """Documents for the corpus languages with a finite slice-size bound and
+    two class-4 avoiders whose slices have more than one word."""
+    docs = {
+        lang.name: list(lang.obstructions)
+        for lang in corpus()
+        if slice_size_bound(lang) is not None
+    }
+    docs.update(BOUNDED_AVOIDERS)
+    paths = {}
+    for name, forbidden in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"name": name, "forbidden": forbidden}))
+        paths[name] = str(path)
+    return paths
+
+
+def paper_rd_cell(capsys, path, n, *flags):
+    code, out, _ = run(
+        capsys, "depths", path, "-n", str(n), "--algorithm", "paper", "--measures", "rd", *flags
+    )
+    assert code == 0
+    row = out.strip().splitlines()[1].split(",")
+    return row[2], row[7]
+
+
+def test_depths_paper_rd_is_constant_for_bounded_slices(tmp_path, capsys):
+    paths = bounded_slice_docs(tmp_path)
+    assert {"L4", "L5", "avoid-01-0000"} <= set(paths)
+    for name, path in paths.items():
+        cells = {paper_rd_cell(capsys, path, n) for n in (40, 100, 1000)}
+        assert len(cells) == 1 and cells.pop()[1] == "CONSTRUCTED", name
+    # the block strategy printed 8, 10, 11, 14 and SKIPPED, 20, 20, 20 here
+    for name, rd in (("avoid-01-0000", "3"), ("avoid-001-0000-0111", "5")):
+        for n in (17, 40, 100, 1000):
+            assert paper_rd_cell(capsys, paths[name], n) == (rd, "CONSTRUCTED"), (name, n)
+
+
+def test_paper_distinguishing_set_honours_max_slice(tmp_path, capsys):
+    path = bounded_slice_docs(tmp_path)["avoid-001-0000-0111"]  # 10 words at n = 40
+    assert paper_rd_cell(capsys, path, 40, "--max-slice", "10") == ("5", "CONSTRUCTED")
+    assert paper_rd_cell(capsys, path, 40, "--max-slice", "9") == ("", "SKIPPED")
+    code, out, err = run(
+        capsys, "build-tree", path, "-n", "40", "--algorithm", "paper", "--max-slice", "9"
+    )
+    assert code == 3 and out == ""
+    assert "recognition capped at slices of <= 9 words, got avoid-001-0000-0111(40)" in err
+
+
+def test_build_tree_paper_bounded_slices_validate(tmp_path, capsys):
+    for name, path in bounded_slice_docs(tmp_path).items():
+        for n in (13, 40):
+            out = tmp_path / f"{name}-{n}.json"
+            code, _, err = run(
+                capsys, "build-tree", path, "-n", str(n), "--algorithm", "paper", "--out", str(out)
+            )
+            assert code == 0, (name, n, err)
+            code, _, err = run(capsys, "validate", str(out), path, "-n", str(n))
+            assert code == 0, (name, n, err)
+            depth = tree_from_json(out.read_text()).depth()
+            assert (str(depth), "CONSTRUCTED") == paper_rd_cell(capsys, path, 40), (name, n)
 
 
 def test_depths_table_format(capsys):
@@ -345,8 +414,6 @@ def test_build_tree_validate_round_trip_full_corpus(tmp_path, capsys):
 
     from subword_trees import block_length
     from subword_trees.dimensions import INFINITY, homogeneity_dimension
-
-    from conftest import corpus
 
     for lang in corpus():
         doc = {"name": lang.name, "forbidden": list(lang.obstructions)}

@@ -25,6 +25,7 @@ from conftest import small_languages, words_up_to
 from reference_language import (
     brute_slice,
     division_index_masks,
+    reference_count_words,
     reference_is_subsequence,
     reference_iter_words,
     string_truth_table,
@@ -282,6 +283,7 @@ def assert_automaton_passes_match_brute(lang):
             where = (lang.obstructions, n, assignment)
             for member in (True, False):
                 matching = [w for w in consistent if is_member[w] == member]
+                assert aut._backward(n, assignment, member)[n][aut.start] == len(matching), where
                 assert aut.exists_consistent(n, assignment, member) == bool(matching), where
                 assert aut.find_consistent(n, assignment, member) == min(
                     matching, default=None
@@ -300,6 +302,36 @@ def test_automaton_passes_match_brute_filter():
 @settings(max_examples=25, deadline=None)
 def test_automaton_passes_match_brute_filter_on_drawn_antichains(words):
     assert_automaton_passes_match_brute(Language.from_forbidden("drawn", words))
+
+
+# -- the counting backward table against the forward counter -----------------
+
+# far past brute force: the counts reach hundreds of digits
+COUNT_LENGTHS = list(range(0, 41)) + [63, 64, 100, 257, 600, 1000]
+
+
+def assert_count_words_match_reference(lang):
+    aut = lang.automaton()
+    for n in COUNT_LENGTHS:
+        assert aut.count_words(n) == reference_count_words(aut, n), (lang.obstructions, n)
+
+
+def test_count_words_match_reference():
+    for lang in small_languages() + [
+        Language.from_forbidden("avoid-001-010-0111", ["001", "010", "0111"]),
+        Language.from_forbidden("avoid-001-0000-0111", ["001", "0000", "0111"]),
+        Language.from_forbidden("avoid-01-0000", ["01", "0000"]),
+        Language.from_forbidden("avoid-0101-1010", ["0101", "1010"]),
+        Language.from_forbidden("empty", [""]),
+        Language.from_forbidden("full", []),
+    ]:
+        assert_count_words_match_reference(lang)
+
+
+@given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=5), max_size=5))
+@settings(max_examples=25, deadline=None)
+def test_count_words_match_reference_on_drawn_antichains(words):
+    assert_count_words_match_reference(Language.from_forbidden("drawn", words))
 
 
 # -- run-length enumeration against the trie walk ----------------------------
