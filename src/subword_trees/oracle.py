@@ -4,18 +4,29 @@ Recognition depths come from a memoized minimax over the consistent member
 subsets reachable by splitting queries, and from the separating certificates:
 sensitive positions first, hitting-set search as fallback.  A word's
 certificate must hold every position whose flip stays in the slice, and those
-positions alone almost always separate it.  The minimax stops a subset early
-once a split meets a lower bound: ``ceil(log2 |S|)``, or the sensitivity of
-S, the most Hamming neighbours inside S that one member has (a tree must
-query each position whose flip stays in S; D >= s in the decision-tree
-literature).
+positions alone almost always separate it.  The minimax bounds each subset S
+from below by ``ceil(log2 |S|)`` or the sensitivity of S, the most Hamming
+neighbours inside S that one member has (a tree must query each position
+whose flip stays in S; D >= s in the decision-tree literature), and from
+above by the number k of positions that split S.  Where the two meet, S is
+certified: its depth is k, its first splitting position is optimal, and its
+children are not searched.  Otherwise the search stops once a split meets
+the lower bound.
 Membership depths work on the truth table of the slice indicator, one big
 int with a bit per length-n word: ``md`` is a minimax memoized on the
 restricted subfunction, so partial assignments with equal restrictions share
-one entry, and ``ma`` is the certificate complexity, found by one sweep over
-sets of freed positions.  Membership certificates for single words come
-from a branch and bound on the same table: its witnesses and counts are the
-opposite class masked to a subcube.  Everything here is exhaustive and exact
+one entry.  A subfunction over k free positions whose members of even and odd
+weight differ in number has Fourier degree k, so its depth is k (D >= deg):
+it is certified with free index 0 and its cofactors are not searched.
+``ma`` is the certificate complexity, found by one sweep over sets of freed
+positions that frees at most n - s(f) (C >= s), with the sensitivity s(f)
+read from the table bit-sliced.  A certified node records the first optimal
+query, the one a full search keeps, and the optimal trees ask the minimax
+for each replayed node's choice, searching below a certified node only when
+the replay reaches it, so each tree is the full search's, node for node.
+Membership certificates for single words come from a branch and bound on the
+same table: its witnesses and counts are the opposite class masked to a
+subcube.  Everything here is exhaustive and exact
 at desk scale; the caps raise ``CapExceeded`` rather than silently
 approximating, ``max_n=None`` keeps each problem's default length cap, and no
 ``max_n`` lifts membership past ``MAX_TABLE_N``.  Depth profiles hold EXACT
@@ -130,22 +141,26 @@ def _recognition_splits(lang, n, max_n, max_slice):
 
 
 def _recognition_minimax(words, splits, n):
-    """Returns (optimal depth, split choice per subset bitmask) over the
-    slice table ``(words, splits)`` of length-n words.
+    """Returns (optimal depth, choice) over the slice table ``(words,
+    splits)`` of length-n words; ``choice(S)`` is the 0-based position the
+    optimal tree queries at a subset bitmask S of two or more words.
 
-    Querying 0-based position p splits S into ``S & splits[p][0]`` and the
-    rest.  The search over S stops once a split meets a lower bound: first
-    ``ceil(log2 |S|)``, and, once the first splitting position has missed that,
-    the sensitivity of S, the largest number of Hamming neighbours a member
-    of S has inside S.  A tree that tells w apart from the rest of S must query
-    every position whose flip keeps the word in S, so the bound is valid.
+    Querying position p splits S into ``S & splits[p][0]`` and the rest.
+    Each subset S has a lower bound: ``ceil(log2 |S|)`` or the sensitivity of
+    S, the largest number of Hamming neighbours a member of S has inside S,
+    whichever is larger.  A tree that tells w apart from the rest of S must
+    query every position whose flip keeps the word in S, so the bound is
+    valid.  The k positions that split S give an upper bound: querying them
+    all tells the members apart.  When the bounds meet, S is certified with
+    depth k and no child is searched; the first splitting position is
+    optimal, since neither child has more than k - 1 splitting positions.
+    Otherwise the search stops once a split meets the lower bound.
     Positions are tried in ascending order and only a strictly better one
-    replaces the current choice, so the replayed tree queries the first
-    optimal position at every node.
+    replaces the current choice, so every node queries the first optimal
+    position, a function of S alone.  ``choice`` searches S on demand, so a
+    tree replayed below a certified node is the one a full search records.
     """
     choices: dict[int, int] = {}
-    if len(words) <= 1:
-        return 0, choices
     memo: dict[int, int] = {}
     nbr: list[int] = []  # nbr[i]: the slice indices at Hamming distance 1 from word i
     max_degree = 0
@@ -153,7 +168,7 @@ def _recognition_minimax(words, splits, n):
     def raise_lower(S: int, lower: int, cap: int) -> int:
         """max(lower, sensitivity of S), stopping early once it reaches cap."""
         nonlocal max_degree
-        if not nbr:  # built on first use: slices where log2 is tight never need it
+        if not nbr:  # built on first use: a full cube meets k with log2 alone
             for flips in _one_letter_flips([int(w, 2) for w in words], n):
                 nbr.append(sum(1 << j for _, j in flips))
             max_degree = max(m.bit_count() for m in nbr)
@@ -172,20 +187,25 @@ def _recognition_minimax(words, splits, n):
         cached = memo.get(S)
         if cached is not None:
             return cached
-        lower = (S.bit_count() - 1).bit_length()  # ceil(log2 |S|)
-        best = None
+        cuts = []  # (p, S & zeros) for each position p that splits S
         for p, (zeros, _) in enumerate(splits):
             s0 = S & zeros
-            if not s0 or s0 == S:
-                continue  # non-splitting queries gain nothing
-            s1 = S ^ s0
+            if s0 and s0 != S:
+                cuts.append((p, s0))
+        k = len(cuts)
+        lower = (S.bit_count() - 1).bit_length()  # ceil(log2 |S|)
+        if lower < k:
+            lower = raise_lower(S, lower, k)
+        if lower == k:
+            memo[S], choices[S] = k, cuts[0][0]
+            return k
+        best = None
+        for p, s0 in cuts:
             d0 = h(s0)
             if best is not None and 1 + d0 >= best:
                 continue
-            cand = 1 + max(d0, h(s1))
+            cand = 1 + max(d0, h(S ^ s0))
             if best is None or cand < best:
-                if best is None and cand > lower:
-                    lower = raise_lower(S, lower, cand)
                 best = cand
                 choices[S] = p
                 if best == lower:
@@ -193,7 +213,11 @@ def _recognition_minimax(words, splits, n):
         memo[S] = best
         return best
 
-    return h((1 << len(words)) - 1), choices
+    def choice(S: int) -> int:
+        h(S)
+        return choices[S]
+
+    return h((1 << len(words)) - 1), choice
 
 
 def recognition_depth_det(
@@ -211,12 +235,12 @@ def optimal_recognition_tree(
     words, splits = _recognition_splits(lang, n, max_n, max_slice)
     if not words:
         return DecisionTree(())
-    choices = _recognition_minimax(words, splits, n)[1]
+    choice = _recognition_minimax(words, splits, n)[1]
 
     def build(S: int):
         if S & (S - 1) == 0:
             return Leaf(words[S.bit_length() - 1])
-        p = choices[S]
+        p = choice(S)
         s0 = S & splits[p][0]
         return Branch(p + 1, ((0, build(s0)), (1, build(S ^ s0))))
 
@@ -319,16 +343,26 @@ def _cofactor(t: int, masks: tuple[int, ...], j: int, bit: int) -> int:
 
 
 def _membership_minimax(lang: Language, n: int, max_n: int | None):
-    """Returns (truth table, optimal depth, choice per subfunction).
+    """Returns (truth table, optimal depth, choice), where ``choice(k, t)``
+    is the index into the free positions that the optimal tree queries at
+    the subfunction t over k free positions, or None when t is constant.
 
-    The memo key is ``(k, table)`` for a subfunction over k free positions, so
-    assignments with equal restrictions share one entry.  A choice is an index
-    into the free positions; candidates are tried in ascending order and only
-    a strictly better one replaces the current choice, so the replayed tree
-    queries the first optimal position at every node.
+    The memo key is ``(k, t)``, so assignments with equal restrictions share
+    one entry.  A subfunction whose members of even and odd weight differ in
+    number has a nonzero top Fourier coefficient, so its degree is k, and a
+    depth-D tree computes a polynomial of degree at most D: it is certified
+    with depth k and no cofactor is searched.  Every position then matters,
+    and querying free index 0 first is optimal.  Otherwise candidates are
+    tried in ascending order and only a strictly better one replaces the
+    current choice, so every node queries the first optimal position, a
+    function of t alone.  ``choice`` searches t on demand, so a tree replayed
+    below a certified node is the one a full search records.
     """
     table = _membership_table(lang, n, max_n)
     ones = [(1 << (1 << k)) - 1 for k in range(n + 1)]
+    even = [1]  # even[k]: the indices of a 2^k-bit table with even weight
+    for k in range(n):
+        even.append(even[k] | (even[k] ^ ones[k]) << (1 << k))
     memo: dict[tuple[int, int], int] = {}
     choices: dict[tuple[int, int], int] = {}
 
@@ -339,6 +373,9 @@ def _membership_minimax(lang: Language, n: int, max_n: int | None):
         cached = memo.get(key)
         if cached is not None:
             return cached
+        if 2 * (t & even[k]).bit_count() != t.bit_count():
+            memo[key], choices[key] = k, 0
+            return k
         masks = index_masks(k)
         best = None
         for i in range(k):
@@ -357,7 +394,11 @@ def _membership_minimax(lang: Language, n: int, max_n: int | None):
         memo[key] = best
         return best
 
-    return table, h(n, table), choices
+    def choice(k: int, t: int) -> int | None:
+        h(k, t)
+        return choices.get((k, t))
+
+    return table, h(n, table), choice
 
 
 def membership_depth_det(lang: Language, n: int, max_n: int | None = None) -> int:
@@ -369,11 +410,11 @@ def optimal_membership_tree(
     lang: Language, n: int, max_n: int | None = None
 ) -> DecisionTree:
     """Depth-optimal deterministic membership tree, replayed from the minimax."""
-    table, _, choices = _membership_minimax(lang, n, max_n)
+    table, _, choice = _membership_minimax(lang, n, max_n)
 
     def build(free: tuple[int, ...], t: int):
         k = len(free)
-        i = choices.get((k, t))
+        i = choice(k, t)
         if i is None:  # only constant subfunctions have no choice
             return Leaf("1" if t else "0")
         j = k - 1 - i
@@ -468,6 +509,33 @@ def membership_certificate(
     return _membership_certificate(table, cube_splits(n), int(w, 2))
 
 
+def _sensitivity(table: int, n: int) -> int:
+    """s(f) of the 2^n-bit ``table``: the most positions, over all inputs x,
+    whose flip changes the value at x.
+
+    Bit-sliced: ``planes[l]`` holds bit l of every input's flip count.  Each
+    index bit j adds one shifted XOR of the table into the planes with a
+    ripple carry, and the largest count is read from the top plane down.
+    """
+    planes: list[int] = []
+    for j, m in enumerate(index_masks(n)):
+        s = 1 << j
+        d = (table ^ table >> s) & m
+        carry = d | d << s  # the inputs whose flip at index bit j changes the value
+        for level, plane in enumerate(planes):
+            planes[level], carry = plane ^ carry, plane & carry
+            if not carry:
+                break
+        if carry:
+            planes.append(carry)
+    best, inputs = 0, (1 << (1 << n)) - 1
+    for level in range(len(planes) - 1, -1, -1):
+        if inputs & planes[level]:
+            inputs &= planes[level]
+            best |= 1 << level
+    return best
+
+
 def membership_depth_nondet(lang: Language, n: int, max_n: int | None = None) -> int:
     """Largest over all 2^n words of the minimum certificate size (exact).
 
@@ -478,19 +546,25 @@ def membership_depth_nondet(lang: Language, n: int, max_n: int | None = None) ->
     its subcube is all members or has none.  Freeing more positions only
     shrinks the covered set, so a branch ends once it is empty.  The answer is
     n - max{l : every input is covered by some set of l freed positions}.
+    A certificate for x holds each position whose flip changes the answer at
+    x, so the answer is at least the sensitivity s(f), and the sweep frees at
+    most n - s(f) positions: no larger set can cover every input.
     """
     table = _membership_table(lang, n, max_n)
     ones = (1 << (1 << n)) - 1
     if table == 0 or table == ones:
         return 0  # the answer is constant
     masks = index_masks(n)
-    covered_by_size = [0] * (n + 1)
+    deepest = n - _sensitivity(table, n)
+    covered_by_size = [0] * (deepest + 1)
 
     def sweep(start: int, size: int, all_in: int, any_in: int) -> None:
         covered = all_in | (any_in ^ ones)
         if not covered:
             return
         covered_by_size[size] |= covered
+        if size == deepest:
+            return
         for j in range(start, n):
             s = 1 << j
             a = all_in & (all_in >> s) & masks[j]

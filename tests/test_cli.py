@@ -135,6 +135,12 @@ def test_depths_skipped_cells_render_empty(capsys):
     assert row[2] == "" and row[7] == "SKIPPED"
 
 
+def test_depths_certified_membership_cells_at_n_18(capsys):
+    code, out, _ = run(capsys, "depths", "L4", "-n", "18", "--measures", "md,ma", "--max-n", "18")
+    assert code == 0
+    assert out.splitlines()[1] == "L4,18,,,18,18,4,SKIPPED,SKIPPED,EXACT,EXACT"
+
+
 def test_depths_paper_algorithm_fills_rd(capsys):
     code, out, _ = run(capsys, "depths", "L3", "-n", "40..40", "--algorithm", "paper")
     assert code == 0

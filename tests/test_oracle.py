@@ -303,6 +303,101 @@ def test_sensitivity_lower_bounds_the_recognition_depths(words):
         assert sens <= ra <= rd <= n, (lang.obstructions, n, sens, ra, rd)
 
 
+# -- certificates that close a node without searching it --------------------------
+
+
+def flip_count_sensitivity(table, n):
+    """s(f) of a 2^n-bit table, input by input: the flips that change its bit."""
+    return max(
+        sum((table >> x ^ table >> (x ^ 1 << b)) & 1 for b in range(n)) for x in range(1 << n)
+    )
+
+
+def parity_coefficient(lang, n):
+    """Slice members of even weight minus those of odd weight: the top Fourier
+    coefficient of the slice indicator, up to a factor of 2^n."""
+    return sum((-1) ** w.count("1") for w in brute_slice(lang, n))
+
+
+def root_recognition_bounds(lang, n):
+    """(lower, k) for the whole slice: max(ceil(log2 |L(n)|), slice
+    sensitivity) and the number of positions whose letter varies in it."""
+    words = lang.slice(n)
+    k = sum(len({w[p] for w in words}) == 2 for p in range(n))
+    return max(max(len(words) - 1, 0).bit_length(), slice_sensitivity(words)), k
+
+
+def assert_certificates_hold(lang, n):
+    """Checks each certificate's bound against the reference oracles and
+    returns which of them close the root: ``md`` for a nonzero parity
+    coefficient, ``rd`` for a recognition lower bound that meets k."""
+    where = (lang.name, lang.obstructions, n)
+    table = lang.automaton().truth_table(n)
+    s = oracle._sensitivity(table, n)
+    assert s == flip_count_sensitivity(table, n), where
+    assert s <= reference_membership_depth_nondet(lang, n), where
+    closed = set()
+    if parity_coefficient(lang, n):
+        assert reference_membership_depth_det(lang, n) == n, where
+        closed.add("md")
+    lower, k = root_recognition_bounds(lang, n)
+    assert lower <= k, where
+    if lower == k:
+        assert reference_recognition_depth_det(lang, n) == k, where
+        closed.add("rd")
+    return closed
+
+
+def test_certificates_hold_against_the_reference_oracles():
+    closed = {"md": 0, "rd": 0}
+    for lang in small_languages():
+        for n in range(1, 11):
+            for measure in assert_certificates_hold(lang, n):
+                closed[measure] += 1
+    # both certificates close roots here, so neither check is vacuous
+    assert all(closed.values()), closed
+
+
+@given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_certificates_hold_on_drawn_antichains(words):
+    lang = Language.from_forbidden("drawn", words)
+    for n in range(1, 9):
+        assert_certificates_hold(lang, n)
+
+
+def test_table_sensitivity_matches_flip_count_on_random_tables():
+    rng = random.Random(19)
+    for n in range(1, 9):
+        tables = [0, (1 << (1 << n)) - 1] + [rng.getrandbits(1 << n) for _ in range(20)]
+        for table in tables:
+            assert oracle._sensitivity(table, n) == flip_count_sensitivity(table, n), (n, table)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+@pytest.mark.parametrize("forbidden", ["1111", "0101", "1001"])
+def test_recognition_tree_below_a_certified_root_matches_reference(forbidden, n):
+    lang = Language.from_forbidden(f"avoid-{forbidden}", [forbidden])
+    # the root is certified, so each node below it is searched only as the
+    # tree is replayed
+    assert root_recognition_bounds(lang, n) == (n, n)
+    assert optimal_recognition_tree(lang, n) == reference_optimal_recognition_tree(lang, n)
+
+
+def test_membership_tree_with_certified_subfunctions_matches_reference():
+    # the search certifies subfunctions by parity at widths 2..10 here
+    L3 = bundled_language("L3")
+    assert optimal_membership_tree(L3, 11) == reference_optimal_membership_tree(L3, 11)
+
+
+def test_certified_membership_depths_past_the_default_cap():
+    # the parity coefficient closes the md root and s(f) = 18 the ma sweep,
+    # so n = 18 needs no search
+    L4 = bundled_language("L4")
+    assert membership_depth_det(L4, 18, max_n=18) == 18
+    assert membership_depth_nondet(L4, 18, max_n=18) == 18
+
+
 def test_membership_table_width_is_capped_whatever_max_n():
     L3 = bundled_language("L3")
     n = MAX_TABLE_N + 1
