@@ -308,8 +308,6 @@ def distinguishing_set_tree(lang: Language, n: int, max_slice: int | None = None
     words = lang.slice_splits(n, max_slice)[0]
     if not words:
         return DecisionTree(())
-    if len(words) == 1:
-        return DecisionTree((Leaf(words[0]),))
     ints = [int(w, 2) for w in words]
     pair_masks = sorted(
         {ints[i] ^ ints[j] for i in range(len(ints)) for j in range(i + 1, len(ints))}

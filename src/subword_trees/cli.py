@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from . import builders, oracle
 from .dimensions import MEASURES, classify, format_extended, slice_size_bound
@@ -171,7 +172,14 @@ def cmd_enumerate(args) -> int:
     if args.count_only:
         _write_out(str(lang.count_slice(args.n)), args.out)
         return EXIT_OK
-    _write_out("\n".join(lang.slice(args.n)), args.out)
+    # the bytes of _write_out("\n".join(words), out), written as the slice is
+    # enumerated: no more than one word is held in memory
+    sink = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
+    with sink as fh:
+        for i, w in enumerate(lang.iter_slice(args.n)):
+            fh.write(f"\n{w}" if i else w)
+        if args.out is None:
+            fh.write("\n")
     return EXIT_OK
 
 

@@ -1,37 +1,40 @@
 """Exact brute-force oracles for the four depth measures, plus depth profiles.
 
-Recognition depths come from a memoized minimax over the consistent member
-subsets reachable by splitting queries, and from the separating certificates:
-sensitive positions first, hitting-set search as fallback.  A word's
-certificate must hold every position whose flip stays in the slice, and those
-positions alone almost always separate it.  The minimax bounds each subset S
-from below by ``ceil(log2 |S|)`` or the sensitivity of S, the most Hamming
-neighbours inside S that one member has (a tree must query each position
-whose flip stays in S; D >= s in the decision-tree literature), and from
-above by the number k of positions that split S.  Where the two meet, S is
-certified: its depth is k, its first splitting position is optimal, and its
-children are not searched.  Otherwise the search stops once a split meets
-the lower bound.
-Membership depths work on the truth table of the slice indicator, one big
-int with a bit per length-n word: ``md`` is a minimax memoized on the
-restricted subfunction, so partial assignments with equal restrictions share
-one entry.  A subfunction over k free positions whose members of even and odd
-weight differ in number has Fourier degree k, so its depth is k (D >= deg):
-it is certified with free index 0 and its cofactors are not searched.
-``ma`` is the certificate complexity, found by one sweep over sets of freed
-positions that frees at most n - s(f) (C >= s), with the sensitivity s(f)
-read from the table bit-sliced.  A certified node records the first optimal
-query, the one a full search keeps, and the optimal trees ask the minimax
-for each replayed node's choice, searching below a certified node only when
-the replay reaches it, so each tree is the full search's, node for node.
-Membership certificates for single words come from a branch and bound on the
-same table: its witnesses and counts are the opposite class masked to a
-subcube.  Everything here is exhaustive and exact
-at desk scale; the caps raise ``CapExceeded`` rather than silently
-approximating, ``max_n=None`` keeps each problem's default length cap, and no
-``max_n`` lifts membership past ``MAX_TABLE_N``.  Depth profiles hold EXACT
-and SKIPPED cells only; the CLI fills SKIPPED ``rd`` cells from the block
-strategy.
+``rd`` and ``md`` are one quantity, the least depth of a query tree over what
+the answers so far leave open, and one memoized minimax computes both.  A node
+lists its cuts, the queries that split it, and a lower bound on its depth.
+It starts at its k-cut upper bound with its first cut as the choice: querying
+every cut tells it apart, and neither child has more than k - 1 cuts.  Cuts
+are then tried in order until a split meets the lower bound, and only a
+strictly better one replaces the choice.  So a node whose bound is k is
+closed at its first cut without a child being searched, and every node
+records the first optimal query, the one a full search keeps.  The optimal
+trees ask the minimax for each replayed node's choice, searching below a
+closed node only when the replay reaches it, so each tree is the full
+search's, node for node.
+For ``rd`` a node is a consistent member subset S, its cuts are the positions
+that split S, and its bound is ``ceil(log2 |S|)`` or the sensitivity of S,
+the most Hamming neighbours inside S that one member has (a tree must query
+each position whose flip stays in S; D >= s in the decision-tree literature).
+For ``md`` a node is a restricted subfunction of the slice indicator's truth
+table, one big int with a bit per length-n word, so partial assignments with
+equal restrictions share one entry; its cuts are the free positions it
+depends on.  A subfunction over k free positions whose members of even and
+odd weight differ in number has Fourier degree k, so its bound is k
+(D >= deg); any other non-constant one has bound 1.
+``ra`` comes from the separating certificates: sensitive positions first,
+hitting-set search as fallback.  A word's certificate must hold every
+position whose flip stays in the slice, and those positions alone almost
+always separate it.  ``ma`` is the certificate complexity, found by one sweep
+over sets of freed positions that frees at most n - s(f) (C >= s), with the
+sensitivity s(f) read from the table bit-sliced.  Membership certificates for
+single words come from a branch and bound on the same table: its witnesses
+and counts are the opposite class masked to a subcube.  Everything here is
+exhaustive and exact at desk scale; the caps raise ``CapExceeded`` rather
+than silently approximating, ``max_n=None`` keeps each problem's default
+length cap, and no ``max_n`` lifts membership past ``MAX_TABLE_N``.  Depth
+profiles hold EXACT and SKIPPED cells only; the CLI fills SKIPPED ``rd``
+cells from the paper's construction.
 """
 
 from __future__ import annotations
@@ -84,8 +87,6 @@ def min_hitting_set(masks: list[int]) -> int:
     already-branched bits on later siblings; the greedy set is the first bound.
     """
     masks = [m for m in masks if m]
-    if not masks:
-        return 0
     # drop strict supersets: hitting a subset hits them for free
     masks = sorted(set(masks), key=lambda m: m.bit_count())
     kept: list[int] = []
@@ -128,6 +129,50 @@ def min_hitting_set(masks: list[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
+# exact minimax over nodes split by cuts
+
+
+def _minimax(root, split, child):
+    """Returns (optimal depth of ``root``, choice) by the one rule in the
+    module docstring.
+
+    ``split(x)`` returns the cuts of node x, in the order they are tried,
+    and a lower bound on its depth; a node without cuts is a leaf of depth 0,
+    and leaves are not memoized.  ``child(x, cut, bit)`` is the node the cut
+    leaves for answer ``bit``.  ``choice(x)`` searches x on demand and
+    returns its first optimal cut, or None at a leaf.
+    """
+    memo: dict = {}
+    choices: dict = {}
+
+    def h(x) -> int:
+        cached = memo.get(x)
+        if cached is not None:
+            return cached
+        cuts, lower = split(x)
+        if not cuts:
+            return 0
+        best, choices[x] = len(cuts), cuts[0]
+        for cut in cuts:
+            if best <= lower:
+                break
+            d0 = h(child(x, cut, 0))
+            if 1 + d0 >= best:
+                continue
+            cand = 1 + max(d0, h(child(x, cut, 1)))
+            if cand < best:
+                best, choices[x] = cand, cut
+        memo[x] = best
+        return best
+
+    def choice(x):
+        h(x)
+        return choices.get(x)
+
+    return h(root), choice
+
+
+# ---------------------------------------------------------------------------
 # recognition: minimax over consistent member subsets
 
 
@@ -142,26 +187,12 @@ def _recognition_splits(lang, n, max_n, max_slice):
 
 def _recognition_minimax(words, splits, n):
     """Returns (optimal depth, choice) over the slice table ``(words,
-    splits)`` of length-n words; ``choice(S)`` is the 0-based position the
-    optimal tree queries at a subset bitmask S of two or more words.
-
-    Querying position p splits S into ``S & splits[p][0]`` and the rest.
-    Each subset S has a lower bound: ``ceil(log2 |S|)`` or the sensitivity of
-    S, the largest number of Hamming neighbours a member of S has inside S,
-    whichever is larger.  A tree that tells w apart from the rest of S must
-    query every position whose flip keeps the word in S, so the bound is
-    valid.  The k positions that split S give an upper bound: querying them
-    all tells the members apart.  When the bounds meet, S is certified with
-    depth k and no child is searched; the first splitting position is
-    optimal, since neither child has more than k - 1 splitting positions.
-    Otherwise the search stops once a split meets the lower bound.
-    Positions are tried in ascending order and only a strictly better one
-    replaces the current choice, so every node queries the first optimal
-    position, a function of S alone.  ``choice`` searches S on demand, so a
-    tree replayed below a certified node is the one a full search records.
+    splits)`` of length-n words.  A node is a subset bitmask S, and its cuts
+    are ``(p, S & zeros)`` for each 0-based position p that splits S, in
+    ascending order: the tree queries p, and the words of ``S & zeros`` read
+    0 there.  The sensitivity part of the bound is scanned only while
+    ``ceil(log2 |S|)`` is below k, the number of cuts, and stops at k.
     """
-    choices: dict[int, int] = {}
-    memo: dict[int, int] = {}
     nbr: list[int] = []  # nbr[i]: the slice indices at Hamming distance 1 from word i
     max_degree = 0
 
@@ -181,43 +212,23 @@ def _recognition_minimax(words, splits, n):
             i = members.find("1", i + 1)
         return lower
 
-    def h(S: int) -> int:
+    def split(S: int):
         if S & (S - 1) == 0:
-            return 0
-        cached = memo.get(S)
-        if cached is not None:
-            return cached
-        cuts = []  # (p, S & zeros) for each position p that splits S
+            return (), 0
+        cuts = []
         for p, (zeros, _) in enumerate(splits):
             s0 = S & zeros
             if s0 and s0 != S:
                 cuts.append((p, s0))
-        k = len(cuts)
         lower = (S.bit_count() - 1).bit_length()  # ceil(log2 |S|)
-        if lower < k:
-            lower = raise_lower(S, lower, k)
-        if lower == k:
-            memo[S], choices[S] = k, cuts[0][0]
-            return k
-        best = None
-        for p, s0 in cuts:
-            d0 = h(s0)
-            if best is not None and 1 + d0 >= best:
-                continue
-            cand = 1 + max(d0, h(S ^ s0))
-            if best is None or cand < best:
-                best = cand
-                choices[S] = p
-                if best == lower:
-                    break
-        memo[S] = best
-        return best
+        if lower < len(cuts):
+            lower = raise_lower(S, lower, len(cuts))
+        return cuts, lower
 
-    def choice(S: int) -> int:
-        h(S)
-        return choices[S]
+    def child(S: int, cut, bit: int) -> int:
+        return S ^ cut[1] if bit else cut[1]
 
-    return h((1 << len(words)) - 1), choice
+    return _minimax((1 << len(words)) - 1, split, child)
 
 
 def recognition_depth_det(
@@ -240,8 +251,7 @@ def optimal_recognition_tree(
     def build(S: int):
         if S & (S - 1) == 0:
             return Leaf(words[S.bit_length() - 1])
-        p = choice(S)
-        s0 = S & splits[p][0]
+        p, s0 = choice(S)
         return Branch(p + 1, ((0, build(s0)), (1, build(S ^ s0))))
 
     return DecisionTree((build((1 << len(words)) - 1),))
@@ -343,62 +353,41 @@ def _cofactor(t: int, masks: tuple[int, ...], j: int, bit: int) -> int:
 
 
 def _membership_minimax(lang: Language, n: int, max_n: int | None):
-    """Returns (truth table, optimal depth, choice), where ``choice(k, t)``
+    """Returns (truth table, optimal depth, choice), where ``choice((k, t))``
     is the index into the free positions that the optimal tree queries at
     the subfunction t over k free positions, or None when t is constant.
 
-    The memo key is ``(k, t)``, so assignments with equal restrictions share
-    one entry.  A subfunction whose members of even and odd weight differ in
+    A node is ``(k, t)``, so assignments with equal restrictions share one
+    memo entry, and its cuts are the free indices t depends on, in ascending
+    order.  A subfunction whose members of even and odd weight differ in
     number has a nonzero top Fourier coefficient, so its degree is k, and a
-    depth-D tree computes a polynomial of degree at most D: it is certified
-    with depth k and no cofactor is searched.  Every position then matters,
-    and querying free index 0 first is optimal.  Otherwise candidates are
-    tried in ascending order and only a strictly better one replaces the
-    current choice, so every node queries the first optimal position, a
-    function of t alone.  ``choice`` searches t on demand, so a tree replayed
-    below a certified node is the one a full search records.
+    depth-D tree computes a polynomial of degree at most D: its lower bound
+    is k, and it depends on every free position.  Parity is tested first, so
+    such a node lists ``range(k)`` without a dependence check and is closed
+    at free index 0.  Any other non-constant subfunction has lower bound 1.
     """
     table = _membership_table(lang, n, max_n)
     ones = [(1 << (1 << k)) - 1 for k in range(n + 1)]
     even = [1]  # even[k]: the indices of a 2^k-bit table with even weight
     for k in range(n):
         even.append(even[k] | (even[k] ^ ones[k]) << (1 << k))
-    memo: dict[tuple[int, int], int] = {}
-    choices: dict[tuple[int, int], int] = {}
 
-    def h(k: int, t: int) -> int:
+    def split(node):
+        k, t = node
         if t == 0 or t == ones[k]:
-            return 0
-        key = (k, t)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
+            return (), 0
         if 2 * (t & even[k]).bit_count() != t.bit_count():
-            memo[key], choices[key] = k, 0
-            return k
+            return range(k), k
         masks = index_masks(k)
-        best = None
-        for i in range(k):
-            j = k - 1 - i
-            if not (t ^ t >> (1 << j)) & masks[j]:
-                continue  # t does not depend on this position
-            d0 = h(k - 1, _cofactor(t, masks, j, 0))
-            if best is not None and 1 + d0 >= best:
-                continue
-            cand = 1 + max(d0, h(k - 1, _cofactor(t, masks, j, 1)))
-            if best is None or cand < best:
-                best = cand
-                choices[key] = i
-                if best == 1:
-                    break
-        memo[key] = best
-        return best
+        # free index i is index bit k - 1 - i
+        return [i for i in range(k) if (t ^ t >> (1 << (k - 1 - i))) & masks[k - 1 - i]], 1
 
-    def choice(k: int, t: int) -> int | None:
-        h(k, t)
-        return choices.get((k, t))
+    def child(node, i: int, bit: int):
+        k, t = node
+        return k - 1, _cofactor(t, index_masks(k), k - 1 - i, bit)
 
-    return table, h(n, table), choice
+    depth, choice = _minimax((n, table), split, child)
+    return table, depth, choice
 
 
 def membership_depth_det(lang: Language, n: int, max_n: int | None = None) -> int:
@@ -414,7 +403,7 @@ def optimal_membership_tree(
 
     def build(free: tuple[int, ...], t: int):
         k = len(free)
-        i = choice(k, t)
+        i = choice((k, t))
         if i is None:  # only constant subfunctions have no choice
             return Leaf("1" if t else "0")
         j = k - 1 - i

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from subword_trees import bundled_path, cli, slice_size_bound, tree_from_json, tree_to_json
+from subword_trees import Language, bundled_path, cli, slice_size_bound, tree_from_json, tree_to_json
 from subword_trees.cli import main
 from subword_trees.oracle import optimal_recognition_tree
 from subword_trees.language import bundled_language
@@ -87,6 +87,29 @@ def test_enumerate_empty_slice(capsys):
     code, out, _ = run(capsys, "enumerate", "L5", "-n", "4", "--count-only")
     assert code == 0
     assert out.strip() == "0"
+
+
+@pytest.mark.parametrize(
+    "lang, n, stdout, file",
+    [("L3", 3, "000\n001\n011\n111\n", "000\n001\n011\n111"), ("L5", 4, "\n", "")],
+)
+def test_enumerate_bytes(tmp_path, capsys, lang, n, stdout, file):
+    # stdout ends each word with a newline; --out separates them, no final one
+    assert run(capsys, "enumerate", lang, "-n", str(n)) == (0, stdout, "")
+    out = tmp_path / "words.txt"
+    assert run(capsys, "enumerate", lang, "-n", str(n), "--out", str(out)) == (0, "", "")
+    assert out.read_bytes() == file.encode()
+
+
+def test_enumerate_streams_the_slice(tmp_path, monkeypatch, capsys):
+    def no_list(self, n):
+        raise AssertionError("enumerate holds the whole slice in memory")
+
+    monkeypatch.setattr(Language, "slice", no_list)
+    assert run(capsys, "enumerate", "L3", "-n", "3") == (0, "000\n001\n011\n111\n", "")
+    out = tmp_path / "words.txt"
+    assert run(capsys, "enumerate", "L3", "-n", "3", "--out", str(out))[0] == 0
+    assert out.read_text() == "000\n001\n011\n111"
 
 
 def test_enumerate_count_only(capsys):

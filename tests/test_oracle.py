@@ -408,6 +408,75 @@ def test_membership_table_width_is_capped_whatever_max_n():
         membership_certificate(L3, n, "0" * n, max_n=30)
 
 
+# -- the one minimax on synthetic problems -------------------------------------------
+
+
+def synthetic_problem(nodes, edges):
+    """(split, child, calls) for a problem given as tables: ``nodes[x]`` is
+    (cuts, lower bound), a node not listed is a leaf, ``edges[x, cut, bit]``
+    is a child, and ``calls`` records every child asked for."""
+    calls = []
+
+    def split(x):
+        return nodes.get(x, ((), 0))
+
+    def child(x, cut, bit):
+        calls.append((x, cut, bit))
+        return edges[x, cut, bit]
+
+    return split, child, calls
+
+
+def test_minimax_closes_a_node_whose_bound_is_its_cut_count():
+    def child(x, cut, bit):
+        raise AssertionError("a closed node has no child searched")
+
+    depth, choice = oracle._minimax("r", lambda x: (("a", "b", "c"), 3), child)
+    assert depth == 3
+    assert choice("r") == "a"
+
+
+def test_minimax_keeps_the_first_optimal_cut():
+    nodes = {
+        "r": (("x", "y", "z"), 1),
+        "two": (("p", "q"), 2),  # closed at depth 2
+        "one": (("p",), 1),  # closed at depth 1
+    }
+    edges = {
+        ("r", "x", 0): "two", ("r", "x", 1): "leaf",  # depth 3
+        ("r", "y", 0): "one", ("r", "y", 1): "one",  # depth 2: strictly better
+        ("r", "z", 0): "one", ("r", "z", 1): "leaf",  # depth 2: a tie
+    }
+    split, child, _ = synthetic_problem(nodes, edges)
+    depth, choice = oracle._minimax("r", split, child)
+    assert depth == 2
+    assert choice("r") == "y"
+
+
+def test_minimax_leaf_has_depth_zero_and_no_choice():
+    split, child, calls = synthetic_problem({}, {})
+    depth, choice = oracle._minimax("leaf", split, child)
+    assert (depth, choice("leaf"), calls) == (0, None, [])
+
+
+def test_minimax_searches_below_a_closed_root_on_demand():
+    nodes = {
+        "r": (("x", "y"), 2),  # closed at its first cut
+        "a": (("p", "q"), 1),
+        "one": (("s",), 1),
+    }
+    edges = {
+        ("r", "x", 0): "a", ("r", "x", 1): "leaf",
+        ("a", "p", 0): "one", ("a", "p", 1): "one",  # depth 2, a's start
+        ("a", "q", 0): "leaf", ("a", "q", 1): "leaf",  # depth 1
+    }
+    split, child, calls = synthetic_problem(nodes, edges)
+    depth, choice = oracle._minimax("r", split, child)
+    assert (depth, choice("r"), calls) == (2, "x", [])
+    assert choice("a") == "q"
+    assert {x for x, _, _ in calls} == {"a"}
+
+
 # -- frozen example values -----------------------------------------------------
 
 
@@ -587,6 +656,9 @@ def naive_min_hitting_size(masks):
 
 
 def test_min_hitting_set_random():
+    # no mask, or only the empty one, needs no bit
+    assert min_hitting_set([]) == 0
+    assert min_hitting_set([0]) == 0
     rng = random.Random(11)
     for _ in range(60):
         masks = [rng.randint(1, 1 << 8) for _ in range(rng.randint(1, 10))]
