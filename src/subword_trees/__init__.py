@@ -77,6 +77,8 @@ from .trees import (
     tree_to_json,
     validate_membership,
     validate_recognition,
+    write_tree_dot,
+    write_tree_json,
 )
 
 __version__ = "0.1.0"

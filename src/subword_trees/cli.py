@@ -36,10 +36,10 @@ from .trees import (
     chain,
     materialize_strategy,
     tree_from_json,
-    tree_to_dot,
-    tree_to_json,
     validate_membership,
     validate_recognition,
+    write_tree_dot,
+    write_tree_json,
 )
 
 EXIT_OK = 0
@@ -99,14 +99,16 @@ def _parse_measures(text: str) -> tuple[str, ...]:
     return measures
 
 
+def _open_out(out: str | None):
+    """The ``--out`` file, opened for writing, or stdout when there is none."""
+    return nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
+
+
 def _write_out(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _open_out(out) as fh:
+        fh.write(text)
+        if out is None and not text.endswith("\n"):
+            fh.write("\n")
 
 
 def _report_dict(report) -> dict:
@@ -174,8 +176,7 @@ def cmd_enumerate(args) -> int:
         return EXIT_OK
     # the bytes of _write_out("\n".join(words), out), written as the slice is
     # enumerated: no more than one word is held in memory
-    sink = nullcontext(sys.stdout) if args.out is None else open(args.out, "w", encoding="utf-8")
-    with sink as fh:
+    with _open_out(args.out) as fh:
         for i, w in enumerate(lang.iter_slice(args.n)):
             fh.write(f"\n{w}" if i else w)
         if args.out is None:
@@ -299,10 +300,15 @@ def cmd_build_tree(args) -> int:
             )
         _write_out(json.dumps(result, indent=2), args.out)
         return EXIT_OK
-    _write_out(tree_to_json(result), args.out)
+    # the bytes of _write_out(tree_to_json(result), out), written as the
+    # document is laid out: no more than one piece of it is held in memory
+    with _open_out(args.out) as fh:
+        write_tree_json(result, fh.write)
+        if args.out is None:
+            fh.write("\n")
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(tree_to_dot(result))
+            write_tree_dot(result, fh.write)
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Union
 
 from .language import MAX_SLICE, Language, cube_splits
@@ -329,45 +330,86 @@ def materialize_strategy(strategy: QueryStrategy) -> DecisionTree:
 # Serialization: JSON tree documents and DOT rendering.
 
 
-def tree_to_json(tree: DecisionTree) -> str:
-    """The tree document, byte for byte as ``json.dumps(doc, indent=2)`` writes it.
+#: parts joined into one piece for ``write``: deep chain parts carry long
+#: indentation, so a piece stays small only if it holds few of them
+_PIECE_PARTS = 256
 
-    CPython's C encoder does not indent, so the layout is written here
-    directly; labels are escaped by ``json.dumps``.
+
+def _json_frame(depth: int) -> tuple[str, ...]:
+    """The text around the fields of a tree document node at ``depth`` (0 for a
+    root child): leaf opening and closing, query opening, first edge opening,
+    child key, edge separator, edge list closing, and empty edge list."""
+    pad = "\n" + " " * (4 + 6 * depth)  # the line of the node's closing brace
+    inner, edge_pad, edge_inner = pad + "  ", pad + "    ", pad + "      "
+    open_edge = "{" + edge_inner + '"bit": '
+    return (
+        "{" + inner + '"leaf": ',
+        pad + "}",
+        "{" + inner + '"query": ',
+        "," + inner + '"edges": [' + edge_pad + open_edge,
+        "," + edge_inner + '"child": ',
+        edge_pad + "}," + edge_pad + open_edge,
+        edge_pad + "}" + inner + "]" + pad + "}",
+        "," + inner + '"edges": []' + pad + "}",
+    )
+
+
+def write_tree_json(tree: DecisionTree, write: Callable[[str], object]) -> None:
+    """Pass the tree document to ``write`` in pieces whose join is ``tree_to_json(tree)``.
+
+    The bytes are those of ``json.dumps(doc, indent=2)``.  CPython's C
+    encoder does not indent, so the layout is written here directly, one
+    call per node, with the indentation of each depth built once; labels
+    are escaped by the function ``json.dumps`` uses for a ``str``.  Only
+    the tree and one piece of the document are held at a time.
     """
     parts: list[str] = []
     put = parts.append
+    frames: list[tuple[str, ...]] = []  # _json_frame(depth) for each depth reached
 
-    def items(nodes, pad: str, write) -> None:
-        """A JSON list whose items open at ``pad`` (a newline plus indentation)."""
-        if not nodes:
-            put("[]")
-            return
-        put("[")
-        for i, node in enumerate(nodes):
-            put(pad if i == 0 else "," + pad)
-            write(node, pad)
-        put(pad[:-2] + "]")
-
-    def node(nd: Node, pad: str) -> None:
-        inner = pad + "  "
+    def node(nd: Node, depth: int) -> None:
+        if len(parts) >= _PIECE_PARTS:
+            write("".join(parts))
+            parts.clear()
+        if depth == len(frames):  # a child is one deeper than its parent
+            frames.append(_json_frame(depth))
+        leaf, close, query, first_edge, child, next_edge, end, no_edges = frames[depth]
         if isinstance(nd, Leaf):
-            put(f'{{{inner}"leaf": {json.dumps(nd.label)}{pad}}}')
+            put(leaf)
+            put(encode_basestring_ascii(nd.label))
+            put(close)
             return
-        put(f'{{{inner}"query": {nd.position},{inner}"edges": ')
-        items(nd.edges, inner + "  ", edge)
-        put(pad + "}")
+        put(query)
+        put(str(nd.position))
+        if not nd.edges:
+            put(no_edges)
+            return
+        between = first_edge
+        for bit, sub in nd.edges:
+            put(between)
+            put(str(bit))
+            put(child)
+            node(sub, depth + 1)
+            between = next_edge
+        put(end)
 
-    def edge(e: tuple[int, Node], pad: str) -> None:
-        inner = pad + "  "
-        put(f'{{{inner}"bit": {e[0]},{inner}"child": ')
-        node(e[1], inner)
-        put(pad + "}")
+    if tree.root_children:
+        between = '{\n  "children": [\n    '
+        for nd in tree.root_children:
+            put(between)
+            node(nd, 0)
+            between = ",\n    "
+        put("\n  ]\n}")
+    else:
+        put('{\n  "children": []\n}')
+    write("".join(parts))
 
-    put('{\n  "children": ')
-    items(tree.root_children, "\n    ", node)
-    put("\n}")
-    return "".join(parts)
+
+def tree_to_json(tree: DecisionTree) -> str:
+    """The tree document, byte for byte as ``json.dumps(doc, indent=2)`` writes it."""
+    pieces: list[str] = []
+    write_tree_json(tree, pieces.append)
+    return "".join(pieces)
 
 
 def tree_from_json(text: str) -> DecisionTree:
@@ -407,30 +449,39 @@ def tree_from_json(text: str) -> DecisionTree:
         raise TreeFormatError("tree document is nested too deeply") from exc
 
 
-def tree_to_dot(tree: DecisionTree) -> str:
-    """GraphViz rendering: query nodes as circles labeled x_i, leaves boxed
-    with their labels escaped for a quoted DOT string."""
-    lines = ["digraph decision_tree {", '  root [shape=point, label=""];']
+def write_tree_dot(tree: DecisionTree, write: Callable[[str], object]) -> None:
+    """Pass the GraphViz rendering to ``write`` in pieces whose join is ``tree_to_dot(tree)``.
+
+    Query nodes are circles labeled x_i; leaves are boxed, with their labels
+    escaped for a quoted DOT string.
+    """
+    parts = ['digraph decision_tree {\n  root [shape=point, label=""];\n']
+    put = parts.append
     counter = 0
 
-    def emit(node: Node, parent: str, edge_label: str | None) -> None:
+    def emit(node: Node, parent: str, edge: str) -> None:
         nonlocal counter
+        if len(parts) >= _PIECE_PARTS:
+            write("".join(parts))
+            parts.clear()
         name = f"n{counter}"
         counter += 1
         if isinstance(node, Leaf):
             label = node.label.replace("\\", "\\\\").replace('"', '\\"')
-            lines.append(f'  {name} [shape=box, label="{label}"];')
-        else:
-            lines.append(f'  {name} [shape=circle, label="x_{node.position}"];')
-        if edge_label is None:
-            lines.append(f"  {parent} -> {name};")
-        else:
-            lines.append(f'  {parent} -> {name} [label="{edge_label}"];')
-        if isinstance(node, Branch):
-            for bit, child in node.edges:
-                emit(child, name, str(bit))
+            put(f'  {name} [shape=box, label="{label}"];\n  {parent} -> {name}{edge};\n')
+            return
+        put(f'  {name} [shape=circle, label="x_{node.position}"];\n  {parent} -> {name}{edge};\n')
+        for bit, child in node.edges:
+            emit(child, name, f' [label="{bit}"]')
 
     for child in tree.root_children:
-        emit(child, "root", None)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        emit(child, "root", "")
+    put("}\n")
+    write("".join(parts))
+
+
+def tree_to_dot(tree: DecisionTree) -> str:
+    """The GraphViz rendering of the tree (see ``write_tree_dot``)."""
+    pieces: list[str] = []
+    write_tree_dot(tree, pieces.append)
+    return "".join(pieces)

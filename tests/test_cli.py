@@ -1,11 +1,20 @@
 import json
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from subword_trees import Language, bundled_path, cli, slice_size_bound, tree_from_json, tree_to_json
+from subword_trees import (
+    Language,
+    bundled_path,
+    cli,
+    slice_size_bound,
+    tree_from_json,
+    tree_to_dot,
+    tree_to_json,
+)
 from subword_trees.cli import main
 from subword_trees.oracle import optimal_recognition_tree
 from subword_trees.language import bundled_language
@@ -399,6 +408,46 @@ def test_build_tree_dot_export(tmp_path, capsys):
     )
     assert code == 0
     assert dot_path.read_text().startswith("digraph decision_tree")
+
+
+NONDET_PAPER_TREE = ["-n", "100", "--problem", "recognition", "--mode", "nondet", "--algorithm", "paper"]
+
+
+def class3_doc(tmp_path) -> str:
+    """Avoid{001,010,0111}: class 3 with block length 4, so its certificate chains run deep."""
+    path = tmp_path / "avoid-001-010-0111.json"
+    path.write_text(json.dumps({"name": "avoid-001-010-0111", "forbidden": ["001", "010", "0111"]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("lang, args", [
+    ("L2", ["-n", "8", "--algorithm", "exact"]),
+    (None, NONDET_PAPER_TREE),
+])
+def test_build_tree_streams_identical_documents(tmp_path, capsys, lang, args):
+    lang = lang or class3_doc(tmp_path)
+    code, stdout, _ = run(capsys, "build-tree", lang, *args)
+    assert code == 0
+    out, dot = tmp_path / "t.json", tmp_path / "t.dot"
+    assert run(capsys, "build-tree", lang, *args, "--out", str(out), "--dot", str(dot)) == (0, "", "")
+    text = out.read_text()
+    assert stdout == text + "\n"
+    tree = tree_from_json(text)
+    assert tree_to_json(tree) == text
+    assert dot.read_text() == tree_to_dot(tree)
+
+
+def test_build_tree_holds_less_than_its_document(tmp_path):
+    """The deep nondet document is streamed into its file, never held whole."""
+    lang, out = class3_doc(tmp_path), tmp_path / "t.json"
+    tracemalloc.start()
+    try:
+        code = main(["build-tree", lang, *NONDET_PAPER_TREE, "--out", str(out)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < out.stat().st_size, (peak, out.stat().st_size)
 
 
 def test_build_tree_dot_with_query_bound_report_is_usage_error(tmp_path, capsys):

@@ -32,6 +32,8 @@ from subword_trees import (
     tree_to_json,
     validate_membership,
     validate_recognition,
+    write_tree_dot,
+    write_tree_json,
 )
 from subword_trees.dimensions import INFINITY
 from subword_trees.language import MAX_SLICE, CapExceeded
@@ -521,6 +523,74 @@ def json_trees():
 def test_tree_to_json_matches_indented_json_dumps(index):
     tree = json_trees()[index]
     assert tree_to_json(tree) == reference_tree_json(tree)
+
+
+def reference_tree_dot(tree):
+    """The DOT rendering as one list of lines, numbered in preorder."""
+    lines = ["digraph decision_tree {", '  root [shape=point, label=""];']
+
+    def emit(node, parent, edge):
+        name = f"n{len(lines) // 2 - 1}"
+        if isinstance(node, Leaf):
+            label = node.label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {name} [shape=box, label="{label}"];')
+        else:
+            lines.append(f'  {name} [shape=circle, label="x_{node.position}"];')
+        lines.append(f"  {parent} -> {name}{edge};")
+        if isinstance(node, Branch):
+            for bit, child in node.edges:
+                emit(child, name, f' [label="{bit}"]')
+
+    for child in tree.root_children:
+        emit(child, "root", "")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+def deep_chain(args):
+    node, path = args
+    for position, bit in path:
+        node = Branch(position, ((bit, node),))
+    return node
+
+
+# any label, branches with no edges or repeated edge bits, and chains deep
+# enough that one document spans many pieces
+drawn_nodes = hs.recursive(
+    hs.builds(Leaf, hs.text()),
+    lambda kids: hs.builds(
+        Branch,
+        hs.integers(1, 99),
+        hs.lists(hs.tuples(hs.sampled_from((0, 1)), kids), max_size=3).map(tuple),
+    ),
+    max_leaves=8,
+)
+drawn_trees = hs.lists(
+    hs.one_of(
+        drawn_nodes,
+        hs.tuples(
+            drawn_nodes,
+            hs.lists(hs.tuples(hs.integers(1, 99), hs.sampled_from((0, 1))), min_size=30, max_size=80),
+        ).map(deep_chain),
+    ),
+    max_size=4,
+).map(lambda children: DecisionTree(tuple(children)))
+
+
+@given(drawn_trees)
+@settings(max_examples=60, deadline=None)
+@example(DecisionTree(()))
+@example(DecisionTree((Branch(3, ()),)))
+@example(DecisionTree(tuple(deep_chain((Leaf('"\\\x00\u00e9'), [(i, i % 2)] * 100)) for i in (1, 2, 3))))
+def test_streamed_documents_match_the_reference(tree):
+    want = reference_tree_json(tree)
+    assert tree_to_json(tree) == want
+    pieces, dot = [], []
+    write_tree_json(tree, pieces.append)
+    assert all(pieces) and "".join(pieces) == want
+    write_tree_dot(tree, dot.append)
+    assert all(dot) and "".join(dot) == tree_to_dot(tree) == reference_tree_dot(tree)
+    if sum(1 for _ in tree.iter_nodes()) > 256:  # past one piece of either writer
+        assert len(pieces) > 1 and len(dot) > 1
 
 
 def test_json_empty_tree():
