@@ -113,6 +113,8 @@ class BlockRecognitionStrategy(QueryStrategy):
         self.block_count = (n - 4 * t) // t
         self._edges = tuple(range(1, 2 * t + 1)) + tuple(range(n - 2 * t + 1, n + 1))
         self._asks = tuple(Ask(p) for p in range(1, n + 1))  # frozen, so shared by every state
+        spans = map(self.block_span, range(self.block_count))
+        self._blocks = [tuple(range(s, e + 1)) for s, e in spans]  # one round per search block
         self.fallback = lang.first_slice_word(n)
 
     def block_span(self, idx: int) -> tuple[int, int]:
@@ -165,11 +167,11 @@ class BlockRecognitionStrategy(QueryStrategy):
         if step[0] == "finish":
             return self._finish(known, *step[1:])
         _, a, b, lo, hi, r = step
-        start, end = self.block_span(r)
-        vals = set(known[start - 1 : end])  # the block just read
-        if vals == {a}:
+        start, end = self._blocks[r][0], self._blocks[r][-1]
+        letters = known[start - 1 : end]  # the block just read
+        if not letters.strip(a):
             return self._probe(known, a, b, r + 1, hi)
-        if vals == {b}:
+        if not letters.strip(b):
             return self._probe(known, a, b, lo, r - 1)
         lo_w = max(self.mid_start, start - self.t)
         hi_w = min(self.mid_end, end + self.t)
@@ -181,9 +183,8 @@ class BlockRecognitionStrategy(QueryStrategy):
         """Read the middle block of ``lo..hi``, or finish once the search is empty."""
         if lo <= hi:
             r = lo + (hi - lo) // 2
-            start, end = self.block_span(r)
-            return (known, tuple(range(start, end + 1)), ("probe", a, b, lo, hi, r), None)
-        boundary = self.block_span(hi)[1] if hi >= 0 else self.mid_start - 1
+            return (known, self._blocks[r], ("probe", a, b, lo, hi, r), None)
+        boundary = self._blocks[hi][-1] if hi >= 0 else self.mid_start - 1
         return self._finish(known, a, b, boundary)
 
     def _finish(self, known: str, a: str, b: str, until: int):
@@ -205,36 +206,38 @@ def worst_case_queries(lang: Language, strategy: QueryStrategy, cap: int) -> int
     has more than ``cap`` words.
 
     The strategy is played as a tree over the slice: each node carries the
-    set of slice words whose answers lead to it and splits it by the letter
-    at the asked position, so ``next_action`` and ``advance`` run once
-    per distinct answer transcript, not once per word.  Raises
-    ``AssertionError`` naming the least word the strategy misrecognizes, and
-    ``StrategyError`` when it asks more than one query per letter.
+    list of slice words whose answers lead to it and splits it by the letter
+    at the asked position, so ``next_action`` and ``advance`` run once per
+    distinct answer transcript, not once per word; a leaf is right when its
+    words are exactly its label.  Raises ``AssertionError`` naming the least
+    misrecognized word, and ``StrategyError`` past one query per letter.
     """
     n = strategy.n
     try:
-        words, splits = lang.slice_splits(n, cap)
+        words = lang.slice(n, cap)
     except CapExceeded:
         return None
-    index = {w: i for i, w in enumerate(words)}
-    worst = wrong = 0
-    stack = [(strategy.initial_state(), (1 << len(words)) - 1, 0)]
+    worst, wrong = 0, []
+    stack = [(strategy.initial_state(), words, 0)]
     while stack:
         state, S, depth = stack.pop()
         act = strategy.next_action(state)
         if isinstance(act, Finish):
-            i = index.get(act.label)
-            wrong |= S if i is None else S & ~(1 << i)
+            if S != [act.label]:
+                wrong += (w for w in S if w != act.label)
             worst = max(worst, depth)
             continue
         if depth >= n:
             raise StrategyError(f"query budget {n} exceeded at position {act.position}")
-        for bit, half in enumerate(splits[act.position - 1]):
-            if part := S & half:
-                stack.append((strategy.advance(state, act.position, bit), part, depth + 1))
+        p = act.position - 1
+        ones = [w for w in S if w[p] == "1"]
+        if len(ones) < len(S):  # most queries split no list: then it is scanned once
+            zeros = [w for w in S if w[p] == "0"] if ones else S
+            stack.append((strategy.advance(state, act.position, 0), zeros, depth + 1))
+        if ones:
+            stack.append((strategy.advance(state, act.position, 1), ones, depth + 1))
     if wrong:
-        least = words[(wrong & -wrong).bit_length() - 1]
-        raise AssertionError(f"strategy misrecognized {least!r} for {lang.name}")
+        raise AssertionError(f"strategy misrecognized {min(wrong)!r} for {lang.name}")
     return worst
 
 
@@ -305,7 +308,7 @@ def distinguishing_set_tree(lang: Language, n: int, max_slice: int | None = None
     stay bounded (classes 4 and 5).  Raises ``CapExceeded`` when the slice has
     more than ``max_slice`` words.
     """
-    words = lang.slice_splits(n, max_slice)[0]
+    words = lang.slice(n, max_slice)
     if not words:
         return DecisionTree(())
     ints = [int(w, 2) for w in words]

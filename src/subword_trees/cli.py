@@ -189,14 +189,11 @@ def _paper_rd(lang: Language, n: int, max_slice: int) -> int | None:
     depth of the distinguishing-set tree when slices stay bounded (classes 4
     and 5), else the block strategy measured on every slice word.  None when
     the construction does not apply or the slice exceeds ``max_slice``."""
-    if slice_size_bound(lang) is not None:
-        try:
-            return builders.distinguishing_set_tree(lang, n, max_slice).depth()
-        except oracle.CapExceeded:
-            return None
     try:
+        if slice_size_bound(lang) is not None:
+            return builders.distinguishing_set_tree(lang, n, max_slice).depth()
         strategy = builders.block_recognition_strategy(lang, n)
-    except builders.BuilderPreconditionError:
+    except (oracle.CapExceeded, builders.BuilderPreconditionError):
         return None
     return builders.worst_case_queries(lang, strategy, max_slice)
 
@@ -258,7 +255,7 @@ def _build_tree(args, lang: Language, n: int) -> DecisionTree | dict:
             certs = oracle.recognition_certificates(lang, n, args.max_n, args.max_slice)
             return builders.tree_from_certificates(lang, n, certs)
         if mode == NONDET:
-            certs = {w: builders.block_certificate(lang, n, w) for w in lang.iter_slice(n)}
+            certs = {w: builders.block_certificate(lang, n, w) for w in lang.slice(n, args.max_slice)}
             return builders.tree_from_certificates(lang, n, certs)
         if slice_size_bound(lang) is not None:  # classes 4 and 5: constant depth
             return builders.distinguishing_set_tree(lang, n, args.max_slice)

@@ -141,8 +141,13 @@ class Language:
     def automaton(self) -> "SliceAutomaton":
         return _automaton_for(self.obstructions)
 
-    def slice(self, n: int) -> list[str]:
-        """All members of exact length ``n``, lexicographically sorted."""
+    def slice(self, n: int, max_slice: int | None = None) -> list[str]:
+        """All members of exact length ``n``, lexicographically sorted.  The one
+        check of the slice cap: raises ``CapExceeded`` past ``max_slice`` words."""
+        if max_slice is not None and self.count_slice(n) > max_slice:
+            raise CapExceeded(
+                f"recognition capped at slices of <= {max_slice} words, got {self.name}({n})"
+            )
         return list(self.automaton().iter_words(n))
 
     def iter_slice(self, n: int) -> Iterator[str]:
@@ -153,13 +158,8 @@ class Language:
     ) -> tuple[list[str], list[tuple[int, int]]]:
         """The slice in lexicographic order and its splits: ``splits[p - 1]``
         holds the sets of words reading 0 and 1 at position p, bit i standing
-        for ``words[i]``.  Raises ``CapExceeded`` when the slice has more than
-        ``max_slice`` words."""
-        if max_slice is not None and self.count_slice(n) > max_slice:
-            raise CapExceeded(
-                f"recognition capped at slices of <= {max_slice} words, got {self.name}({n})"
-            )
-        words = self.slice(n)
+        for ``words[i]``.  Raises ``CapExceeded`` as ``slice`` does."""
+        words = self.slice(n, max_slice)
         everything = (1 << len(words)) - 1
         letters = "".join(words)  # column p - 1 of the word matrix is letters[p - 1::n]
         ones = [int(letters[p::n][::-1] or "0", 2) for p in range(n)]

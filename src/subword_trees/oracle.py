@@ -40,7 +40,7 @@ cells from the paper's construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .dimensions import MEASURES
 from .language import (
@@ -192,23 +192,31 @@ def _recognition_minimax(words, splits, n):
     ascending order: the tree queries p, and the words of ``S & zeros`` read
     0 there.  The sensitivity part of the bound is scanned only while
     ``ceil(log2 |S|)`` is below k, the number of cuts, and stops at k.
+    Word i's neighbour row is built when a scan first reaches it.
     """
-    nbr: list[int] = []  # nbr[i]: the slice indices at Hamming distance 1 from word i
-    max_degree = 0
+    # nbr[i]: the slice indices at Hamming distance 1 from word i, -1 until built
+    nbr = [-1] * len(words)
+    unbuilt = len(words)
+    max_degree = n  # bounds every row; the largest row once all are built
+    flips = None
 
     def raise_lower(S: int, lower: int, cap: int) -> int:
         """max(lower, sensitivity of S), stopping early once it reaches cap."""
-        nonlocal max_degree
-        if not nbr:  # built on first use: a full cube meets k with log2 alone
-            for flips in _one_letter_flips([int(w, 2) for w in words], n):
-                nbr.append(sum(1 << j for _, j in flips))
-            max_degree = max(m.bit_count() for m in nbr)
+        nonlocal flips, unbuilt, max_degree
         if max_degree <= lower:
             return lower  # no subset of this slice is more sensitive than that
+        if flips is None:  # built on first use: a full cube meets k with log2 alone
+            flips = _one_letter_flips([int(w, 2) for w in words], n)
         members = bin(S)[:1:-1]  # bit i of S is members[i]
         i = members.find("1")
         while i >= 0 and lower < cap:
-            lower = max(lower, (nbr[i] & S).bit_count())
+            row = nbr[i]
+            if row < 0:
+                row = nbr[i] = sum(1 << j for _, j in flips(i))
+                unbuilt -= 1
+                if not unbuilt:
+                    max_degree = max(m.bit_count() for m in nbr)
+            lower = max(lower, (row & S).bit_count())
             i = members.find("1", i + 1)
         return lower
 
@@ -257,12 +265,16 @@ def optimal_recognition_tree(
     return DecisionTree((build((1 << len(words)) - 1),))
 
 
-def _one_letter_flips(ints: list[int], n: int) -> Iterator[list[tuple[int, int]]]:
-    """For each word of ``ints`` in turn, the pairs (b, j) such that flipping
-    index bit b of the word gives ``ints[j]``: one lookup per position."""
+def _one_letter_flips(ints: list[int], n: int) -> Callable[[int], list[tuple[int, int]]]:
+    """The function giving, for word i of ``ints``, the pairs (b, j) such that
+    flipping index bit b of ``ints[i]`` gives ``ints[j]``: one lookup per position."""
     index = {x: j for j, x in enumerate(ints)}
-    for x in ints:
-        yield [(b, j) for b in range(n) if (j := index.get(x ^ 1 << b)) is not None]
+
+    def flips(i: int) -> list[tuple[int, int]]:
+        x = ints[i]
+        return [(b, j) for b in range(n) if (j := index.get(x ^ 1 << b)) is not None]
+
+    return flips
 
 
 def _difference_masks(ints: list[int], i: int) -> list[int]:
@@ -288,8 +300,9 @@ def _recognition_certificates(
     any word.
     """
     ints = [int(w, 2) for w in words]
-    for i, flips in enumerate(_one_letter_flips(ints, n)):
-        positions = [n - b for b, _ in reversed(flips)]
+    flips = _one_letter_flips(ints, n)
+    for i in range(len(ints)):
+        positions = [n - b for b, _ in reversed(flips(i))]
         if len(positions) < n and agreeing(words, splits, i, positions):
             chosen = min_hitting_set(_difference_masks(ints, i))
             positions = [n - b for b in range(n - 1, -1, -1) if chosen >> b & 1]

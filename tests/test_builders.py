@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from subword_trees import (
@@ -328,6 +328,48 @@ def test_worst_case_queries_advances_once_per_transcript_prefix(corpus):
                 prefixes.update(answers[:k] for k in range(1, len(answers) + 1))
             assert counts["advance"] == len(prefixes), (lang.name, n)
             assert counts["next_action"] == len(prefixes) + 1, (lang.name, n)
+
+
+def replay_outcome(replay, lang, strategy, cap):
+    """The replay's worst case, or the message of the misrecognition it reports."""
+    try:
+        return replay(lang, strategy, cap)
+    except AssertionError as exc:
+        return str(exc)
+
+
+@given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=4), max_size=4))
+@settings(max_examples=25, deadline=None)
+def test_worst_case_queries_matches_reference_on_drawn_antichains(words):
+    lang = Language.from_forbidden("drawn", words)
+    assume(homogeneity_dimension(lang) != INFINITY)
+    t = block_length(lang)
+    for n in (10 * t, 10 * t + 1, 12 * t + 5):
+        count = lang.count_slice(n)
+        for strategy in (block_recognition_strategy(lang, n), ForgetfulStrategy(lang, n)):
+            got = replay_outcome(worst_case_queries, lang, strategy, count)
+            assert got == replay_outcome(reference_worst_case_queries, lang, strategy, count)
+            assert isinstance(got, int) or isinstance(strategy, ForgetfulStrategy)
+            if count:
+                assert worst_case_queries(lang, strategy, count - 1) is None
+
+
+def test_paper_walks_read_the_slice_words_without_a_split_table(corpus, monkeypatch):
+    bounded = [lang for lang in corpus if slice_size_bound(lang) is not None]
+    trees = {(lang.name, n): distinguishing_set_tree(lang, n) for lang in bounded for n in (7, 40)}
+
+    def refuse(self, *args):
+        raise AssertionError("the split table was built")
+
+    monkeypatch.setattr(Language, "slice_splits", refuse)
+    for lang in bounded:
+        for n in (7, 40):
+            assert distinguishing_set_tree(lang, n) == trees[lang.name, n], (lang.name, n)
+    for lang in replay_languages(corpus):
+        for n in replay_lengths(block_length(lang)):
+            strategy = block_recognition_strategy(lang, n)
+            want = reference_worst_case_queries(lang, strategy, 10**6)
+            assert worst_case_queries(lang, strategy, 10**6) == want, (lang.name, n)
 
 
 def test_materialized_strategies_validate(corpus):

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -448,6 +449,34 @@ def test_build_tree_holds_less_than_its_document(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < out.stat().st_size, (peak, out.stat().st_size)
+
+
+def test_paper_report_holds_little_more_than_its_slice_words(tmp_path):
+    """The block strategy is measured on the slice words: no table beside them."""
+    out = tmp_path / "report.json"
+    argv = ["build-tree", "L3", "-n", "1000", "--algorithm", "paper", "--out", str(out)]
+    assert main(argv) == 0  # the parser and the automaton are built once, before the trace
+    word_bytes = sum(sys.getsizeof(w) for w in bundled_language("L3").slice(1000))
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.5 * word_bytes, (peak, word_bytes)
+    assert json.loads(out.read_text())["max_queries_observed"] == 14
+
+
+def test_nondet_paper_build_honours_max_slice(tmp_path, capsys):
+    out = tmp_path / "t.json"
+    argv = ["build-tree", "L3", "-n", "300", "--mode", "nondet", "--algorithm", "paper"]
+    code, stdout, err = run(capsys, *argv, "--max-slice", "100", "--out", str(out))
+    assert code == 3 and stdout == ""
+    assert "recognition capped at slices of <= 100 words, got L3(300)" in err
+    assert not out.exists()
+    code, _, _ = run(capsys, *argv, "--max-slice", "301", "--out", str(out))  # 301 words
+    assert code == 0 and out.exists()
 
 
 def test_build_tree_dot_with_query_bound_report_is_usage_error(tmp_path, capsys):

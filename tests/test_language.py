@@ -427,6 +427,15 @@ def test_slice_splits_match_per_word_construction():
     assert_splits_match_words(*L3.slice_splits(1000), 1000)
 
 
+def test_slice_holds_the_slice_cap():
+    L3 = bundled_language("L3")
+    for read in (L3.slice, L3.slice_splits):
+        with pytest.raises(CapExceeded) as got:
+            read(300, 300)
+        assert str(got.value) == "recognition capped at slices of <= 300 words, got L3(300)"
+    assert L3.slice(300, 301) == L3.slice(300) == L3.slice_splits(300, 301)[0]
+
+
 def test_cube_splits_match_per_word_construction():
     for n in range(0, 11):
         words = [format(x, f"0{n}b") if n else "" for x in range(1 << n)]

@@ -718,6 +718,25 @@ def test_depth_profile_max_n_caps_both_problems():
     assert row.values["md"] == membership_depth_det(L3, 15, max_n=15)
 
 
+def test_rd_builds_a_neighbour_row_only_where_a_scan_reaches(monkeypatch):
+    flips, built = oracle._one_letter_flips, []
+
+    def counted(ints, n):
+        row = flips(ints, n)
+
+        def counted_row(i):
+            built.append(i)
+            return row(i)
+
+        return counted_row
+
+    monkeypatch.setattr(oracle, "_one_letter_flips", counted)
+    lang = Language.from_forbidden("avoid-1001", ["1001"])
+    (row,) = depth_profile(lang, 13, 13, ("rd",)).rows
+    assert row.values["rd"] == reference_recognition_depth_det(lang, 13) == 13
+    assert 0 < len(built) == len(set(built)) < lang.count_slice(13)
+
+
 def test_depth_profile_builds_one_recognition_table_per_length(monkeypatch):
     build, calls = Language.slice_splits, []
 
