@@ -5,8 +5,8 @@ middle + run of the other letter + suffix, with the three fragments bounded by
 twice the homogeneity dimension.  The builders exploit that shape: an adaptive
 strategy recognizes any slice word by reading two boundary blocks on each side
 and binary-searching the run boundary block-by-block; small fixed certificate
-sets separate each word; and a fixed distinguishing position set yields
-constant-depth trees when slices stay bounded.
+sets separate each word; and a fixed distinguishing position set recognizes
+in constant depth when slices stay bounded.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .trees import (
     QueryStrategy,
     StrategyError,
     chain,
+    materialize_strategy,
 )
 
 
@@ -297,48 +298,45 @@ def tree_from_certificates(
     return DecisionTree(children)
 
 
-def distinguishing_set_tree(lang: Language, n: int, max_slice: int | None = None) -> DecisionTree:
-    """Deterministic recognition tree reading one fixed distinguishing set.
+class DistinguishingSetStrategy(QueryStrategy):
+    """Recognizer reading one fixed distinguishing set, the paper's
+    constant-depth construction for bounded slices (classes 4 and 5).
 
     Picks a smallest position set separating every pair of slice words (exact
     search up to ``MAX_EXACT_DISTINGUISHING`` words, greedy pair cover beyond),
-    then builds the complete tree that queries those positions in increasing
-    order.  Leaves on paths matching no member carry the lexicographically least
-    member.  This is the paper's constant-depth tree for languages whose slices
-    stay bounded (classes 4 and 5).  Raises ``CapExceeded`` when the slice has
-    more than ``max_slice`` words.
+    asks it in increasing order, and finishes with the member read, or with
+    the lexicographically least member when the answers match none (None for
+    an empty slice).  Raises ``CapExceeded`` past ``max_slice`` words.
     """
-    words = lang.slice(n, max_slice)
-    if not words:
-        return DecisionTree(())
-    ints = [int(w, 2) for w in words]
-    pair_masks = sorted(
-        {ints[i] ^ ints[j] for i in range(len(ints)) for j in range(i + 1, len(ints))}
-    )
-    if len(words) <= MAX_EXACT_DISTINGUISHING:
-        chosen = min_hitting_set(pair_masks)
-    else:
-        chosen = greedy_hitting_set(pair_masks)
-    positions = sorted(n - b for b in range(n) if chosen >> b & 1)
-    bound = slice_size_bound(lang)
-    if bound is not None and len(positions) > bound * bound:
-        raise AssertionError(
-            f"distinguishing set larger than the squared slice bound for {lang.name}"
-        )
 
-    by_signature: dict[tuple[int, ...], str] = {}
-    for w in words:
-        by_signature[tuple(int(w[p - 1]) for p in positions)] = w
+    def __init__(self, lang: Language, n: int, max_slice: int | None = None):
+        words = lang.slice(n, max_slice)
+        ints = [int(w, 2) for w in words]
+        pair_masks = sorted({x ^ y for i, x in enumerate(ints) for y in ints[i + 1 :]})
+        if len(words) <= MAX_EXACT_DISTINGUISHING:
+            chosen = min_hitting_set(pair_masks)
+        else:
+            chosen = greedy_hitting_set(pair_masks)
+        self.n = n
+        self.positions = tuple(sorted(n - b for b in range(n) if chosen >> b & 1))
+        bound = slice_size_bound(lang)
+        if bound is not None and len(self.positions) > bound * bound:
+            raise AssertionError(
+                f"distinguishing set larger than the squared slice bound for {lang.name}"
+            )
+        # a state is the transcript of answers; each member is keyed by its own
+        self._members = {tuple((p, int(w[p - 1])) for p in self.positions): w for w in words}
+        self._least = words[0] if words else None
 
-    def build(idx: int, sig: tuple[int, ...]):
-        if idx == len(positions):
-            return Leaf(by_signature.get(sig, words[0]))
-        return Branch(
-            positions[idx],
-            tuple((bit, build(idx + 1, sig + (bit,))) for bit in (0, 1)),
-        )
+    def next_action(self, state):
+        if len(state) < len(self.positions):
+            return Ask(self.positions[len(state)])
+        return Finish(self._members.get(state, self._least))
 
-    return DecisionTree((build(0, ()),))
+
+def distinguishing_set_tree(lang: Language, n: int, max_slice: int | None = None) -> DecisionTree:
+    """The complete tree of ``DistinguishingSetStrategy``, expanded by ``materialize_strategy``."""
+    return materialize_strategy(DistinguishingSetStrategy(lang, n, max_slice))
 
 
 def membership_tree(lang: Language, n: int) -> DecisionTree:

@@ -185,14 +185,15 @@ def cmd_enumerate(args) -> int:
 
 
 def _paper_rd(lang: Language, n: int, max_slice: int) -> int | None:
-    """Worst-case query count of the paper's construction over the slice: the
-    depth of the distinguishing-set tree when slices stay bounded (classes 4
-    and 5), else the block strategy measured on every slice word.  None when
-    the construction does not apply or the slice exceeds ``max_slice``."""
+    """Most queries the paper's strategy asks on one slice word, measured on
+    every word: the distinguishing set when slices stay bounded (classes 4
+    and 5), else the block strategy.  None when it does not apply or the
+    slice exceeds ``max_slice``; see ``worst_case_queries`` for errors."""
     try:
         if slice_size_bound(lang) is not None:
-            return builders.distinguishing_set_tree(lang, n, max_slice).depth()
-        strategy = builders.block_recognition_strategy(lang, n)
+            strategy = builders.DistinguishingSetStrategy(lang, n, max_slice)
+        else:
+            strategy = builders.block_recognition_strategy(lang, n)
     except (oracle.CapExceeded, builders.BuilderPreconditionError):
         return None
     return builders.worst_case_queries(lang, strategy, max_slice)

@@ -8,13 +8,21 @@ that meets a wrongly labelled leaf or no leaf at all is the witness.  The
 structural checks (positions, determinism, admissible labels) are separate
 passes over ``DecisionTree.iter_nodes``, each run to completion before the
 next, where the production validator derives them all from its one walk.
+
+``reference_distinguishing_set_tree`` is the distinguishing-set tree as it
+was built before ``builders.DistinguishingSetStrategy`` was expanded by
+``materialize_strategy``: a top-down recursion over the chosen positions
+whose leaves look their member up by the tuple of bits read.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Iterator
 
+from subword_trees.builders import MAX_EXACT_DISTINGUISHING
+from subword_trees.dimensions import slice_size_bound
 from subword_trees.language import Language, all_words
+from subword_trees.oracle import greedy_hitting_set, min_hitting_set
 from subword_trees.trees import (
     BULLET_CONSISTENCY,
     BULLET_COVERAGE,
@@ -147,3 +155,47 @@ def reference_validate_membership(
         label_ok=lambda lab: lab in ("0", "1"),
         empty_universe_ok=False,
     )
+
+
+def reference_distinguishing_set_tree(lang: Language, n: int, max_slice: int | None = None) -> DecisionTree:
+    """Deterministic recognition tree reading one fixed distinguishing set.
+
+    Picks a smallest position set separating every pair of slice words (exact
+    search up to ``MAX_EXACT_DISTINGUISHING`` words, greedy pair cover beyond),
+    then builds the complete tree that queries those positions in increasing
+    order.  Leaves on paths matching no member carry the lexicographically least
+    member.  This is the paper's constant-depth tree for languages whose slices
+    stay bounded (classes 4 and 5).  Raises ``CapExceeded`` when the slice has
+    more than ``max_slice`` words.
+    """
+    words = lang.slice(n, max_slice)
+    if not words:
+        return DecisionTree(())
+    ints = [int(w, 2) for w in words]
+    pair_masks = sorted(
+        {ints[i] ^ ints[j] for i in range(len(ints)) for j in range(i + 1, len(ints))}
+    )
+    if len(words) <= MAX_EXACT_DISTINGUISHING:
+        chosen = min_hitting_set(pair_masks)
+    else:
+        chosen = greedy_hitting_set(pair_masks)
+    positions = sorted(n - b for b in range(n) if chosen >> b & 1)
+    bound = slice_size_bound(lang)
+    if bound is not None and len(positions) > bound * bound:
+        raise AssertionError(
+            f"distinguishing set larger than the squared slice bound for {lang.name}"
+        )
+
+    by_signature: dict[tuple[int, ...], str] = {}
+    for w in words:
+        by_signature[tuple(int(w[p - 1]) for p in positions)] = w
+
+    def build(idx: int, sig: tuple[int, ...]):
+        if idx == len(positions):
+            return Leaf(by_signature.get(sig, words[0]))
+        return Branch(
+            positions[idx],
+            tuple((bit, build(idx + 1, sig + (bit,))) for bit in (0, 1)),
+        )
+
+    return DecisionTree((build(0, ()),))

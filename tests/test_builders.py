@@ -27,10 +27,15 @@ from subword_trees import (
     slice_size_bound,
     trace_strategy,
     tree_from_certificates,
+    tree_to_json,
     validate_membership,
     validate_recognition,
 )
-from subword_trees.builders import worst_case_queries
+from subword_trees.builders import (
+    MAX_EXACT_DISTINGUISHING,
+    DistinguishingSetStrategy,
+    worst_case_queries,
+)
 from subword_trees.dimensions import INFINITY
 from subword_trees.oracle import (
     membership_depth_det,
@@ -45,6 +50,7 @@ from reference_strategy import (
     reference_block_certificate,
     reference_worst_case_queries,
 )
+from reference_trees import reference_distinguishing_set_tree
 
 
 def finite_hom_corpus(corpus):
@@ -565,6 +571,48 @@ def test_distinguishing_trees_validate_and_bound(corpus):
                 assert tree.depth() >= recognition_depth_det(lang, n)
             if bound is not None:
                 assert tree.depth() <= bound * bound
+
+
+# class-4 antichains whose slices pass MAX_EXACT_DISTINGUISHING: from n = 12 on
+# they hold 126 and 175 words, distinguished greedily by 8 and 9 positions
+CLASS4_GREEDY = {("00001", "111110"): (126, 8), ("11111", "110011", "1000000"): (175, 9)}
+
+
+def assert_distinguishing_tree_matches_reference(lang, n):
+    tree = distinguishing_set_tree(lang, n)
+    want = reference_distinguishing_set_tree(lang, n)
+    assert tree == want, (lang.name, n)
+    assert tree_to_json(tree) == tree_to_json(want), (lang.name, n)
+    return tree
+
+
+def test_distinguishing_tree_matches_reference():
+    cases = [(bundled_language(f"L{i}"), n) for i in range(1, 6) for n in range(1, 9)]
+    assert bundled_language("L2").count_slice(7) > MAX_EXACT_DISTINGUISHING
+    for words in (["01", "0000"], ["001", "0000", "0111"]):
+        lang = Language.from_forbidden("avoid-" + "-".join(words), words)
+        cases += [(lang, n) for n in (7, 13, 40, 100)]
+    for words, (size, depth) in CLASS4_GREEDY.items():
+        lang = Language.from_forbidden("avoid-" + "-".join(words), words)
+        for n in (12, 60):
+            assert lang.count_slice(n) == size and size > MAX_EXACT_DISTINGUISHING
+            assert len(DistinguishingSetStrategy(lang, n).positions) == depth
+            cases.append((lang, n))
+    for lang, n in cases:
+        assert_distinguishing_tree_matches_reference(lang, n)
+
+
+@given(
+    extra=hs.lists(hs.text(alphabet="01", min_size=1, max_size=7), max_size=3),
+    n=hs.one_of(hs.integers(1, 12), hs.just(40)),
+)
+@settings(max_examples=40, deadline=None)
+def test_distinguishing_strategy_matches_reference_on_drawn_obstructions(extra, n):
+    # extra obstructions shrink the language, so both dimensions stay finite
+    lang = Language.from_forbidden("drawn", ["00001", "111110", *extra])
+    tree = assert_distinguishing_tree_matches_reference(lang, n)
+    count = lang.count_slice(n)
+    assert worst_case_queries(lang, DistinguishingSetStrategy(lang, n), count) == tree.depth()
 
 
 # -- membership trees -----------------------------------------------------------------

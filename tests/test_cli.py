@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from subword_trees import (
+    DecisionTree,
     Language,
+    builders,
     bundled_path,
     cli,
     slice_size_bound,
@@ -239,6 +241,21 @@ def test_depths_paper_rd_is_constant_for_bounded_slices(tmp_path, capsys):
     for name, rd in (("avoid-01-0000", "3"), ("avoid-001-0000-0111", "5")):
         for n in (17, 40, 100, 1000):
             assert paper_rd_cell(capsys, paths[name], n) == (rd, "CONSTRUCTED"), (name, n)
+
+
+def test_paper_rd_of_bounded_slices_is_measured_on_every_word(tmp_path, capsys, monkeypatch):
+    path = bounded_slice_docs(tmp_path)["avoid-001-0000-0111"]
+
+    def refuse(self):
+        raise AssertionError("a tree depth was read")
+
+    monkeypatch.setattr(DecisionTree, "depth", refuse)
+    assert paper_rd_cell(capsys, path, 40) == ("5", "CONSTRUCTED")
+    lang = Language.from_forbidden("avoid-001-0000-0111", BOUNDED_AVOIDERS["avoid-001-0000-0111"])
+    strategy = builders.DistinguishingSetStrategy(lang, 40)
+    strategy.positions = strategy.positions[:-1]
+    with pytest.raises(AssertionError, match="'1111111111111111111111111111111111110100'"):
+        builders.worst_case_queries(lang, strategy, 40)
 
 
 def test_paper_distinguishing_set_honours_max_slice(tmp_path, capsys):
