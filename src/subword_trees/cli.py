@@ -169,10 +169,23 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
+def _decimal(x: int) -> str:
+    """``str(x)`` for a non-negative ``x`` of any size: past the interpreter's
+    limit on int-to-str digits, the low digits are converted 1000 at a time."""
+    parts = []
+    while True:
+        try:
+            parts.append(str(x))
+            return "".join(reversed(parts))
+        except ValueError:  # more digits than the interpreter converts at once
+            x, low = divmod(x, 10**1000)
+            parts.append(f"{low:01000d}")
+
+
 def cmd_enumerate(args) -> int:
     lang = _resolve_language(args.language)
     if args.count_only:
-        _write_out(str(lang.count_slice(args.n)), args.out)
+        _write_out(_decimal(lang.count_slice(args.n)), args.out)
         return EXIT_OK
     # the bytes of _write_out("\n".join(words), out), written as the slice is
     # enumerated: no more than one word is held in memory

@@ -193,17 +193,23 @@ def _automaton_for(obstructions: tuple[str, ...]) -> "SliceAutomaton":
 
 
 class SliceAutomaton:
-    """Product automaton tracking, per obstruction, the longest prefix matched so far.
+    """The language's quotient automaton: a state is a left quotient, named by its antichain.
 
-    A state is a tuple of progress counters.  Reading letter ``b`` advances the
-    counter of obstruction ``f`` when ``f[counter] == b``.  The state is dead as
-    soon as one obstruction is fully matched; dead is absorbing, so all dead
-    states collapse into one.  A word is a member iff its run ends live.
+    The left quotient of a subword-closed language by a prefix ``u`` is again
+    subword-closed, so it is named by its own obstruction antichain: the
+    suffixes of the obstructions that greedy matching leaves after ``u``,
+    reduced to the subword-minimal ones.  Reading letter ``b`` strips a
+    leading ``b`` from every obstruction that starts with it; the state is
+    dead as soon as the empty word is forbidden, and dead is absorbing.  A
+    word is a member iff its run ends live.  A language has exactly one
+    antichain, so equal quotients share one state and the automaton is
+    minimal.
 
-    Every edge either loops or advances a counter, so a run never returns to a
-    state it has left.  Three passes read the transition table:
-    ``_backward`` builds the one backward table counting, per state, the
-    endings that reach the wanted end, which ``count_words`` and
+    Deleting a letter keeps membership, so a quotient only shrinks along a
+    run: every edge either loops or enters a smaller quotient, and a run
+    never returns to a state it has left.  Three passes read the transition
+    table: ``_backward`` builds the one backward table counting, per state,
+    the endings that reach the wanted end, which ``count_words`` and
     ``exists_consistent`` read at the start state and ``find_consistent``
     walks to the lexicographically least witness; ``iter_words`` lists the
     slice one letter run at a time, pruned by that table; and ``truth_table``
@@ -215,38 +221,22 @@ class SliceAutomaton:
 
     def __init__(self, obstructions: tuple[str, ...]):
         self.obstructions = obstructions
-        lens = [len(f) for f in obstructions]
-        start = tuple(0 for _ in obstructions)
-        self._ids: dict[tuple[int, ...], int] = {}
+        ids = {("",): self.DEAD}  # the empty word forbidden: the dead quotient
+        quotients: list[tuple[str, ...]] = []  # live quotients, in id order from 1
+
+        def state(quotient: tuple[str, ...]) -> int:
+            if quotient not in ids:
+                ids[quotient] = len(ids)
+                quotients.append(quotient)
+            return ids[quotient]
+
+        self.start = state(canonicalize_antichain(obstructions))
         self._trans: list[tuple[int, int]] = [(self.DEAD, self.DEAD)]
-        if any(l == 0 for l in lens):  # the empty word is forbidden: everything dead
-            self.start = self.DEAD
-            return
-        self._ids[start] = 1
-        self._trans.append((0, 0))  # placeholder, filled below
-        self.start = 1
-        queue = [start]
-        while queue:
-            state = queue.pop()
-            sid = self._ids[state]
-            nxt = []
-            for bit in (0, 1):
-                letter = ALPHABET[bit]
-                prog = tuple(
-                    c + 1 if f[c] == letter else c
-                    for c, f in zip(state, obstructions)
-                )
-                if any(c == l for c, l in zip(prog, lens)):
-                    nxt.append(self.DEAD)
-                    continue
-                tid = self._ids.get(prog)
-                if tid is None:
-                    tid = len(self._trans)
-                    self._ids[prog] = tid
-                    self._trans.append((0, 0))
-                    queue.append(prog)
-                nxt.append(tid)
-            self._trans[sid] = (nxt[0], nxt[1])
+        for quotient in quotients:  # grows as new quotients are reached
+            self._trans.append(tuple(
+                state(canonicalize_antichain(f[1:] if f[0] == b else f for f in quotient))
+                for b in ALPHABET
+            ))
 
     def count_words(self, n: int) -> int:
         """The number of members of length ``n``, read off the backward table."""
@@ -258,12 +248,13 @@ class SliceAutomaton:
         """Members of length ``n`` in lexicographic order, one letter run at a time.
 
         Every live state other than the obstruction-free start has at most one
-        looping letter, and every other edge advances a counter.  From a state
-        looping on ``a`` with ``k`` letters left, the members are ``a^k`` and,
-        for each ``j``, ``a^j b`` followed by the members of the ``b``-successor
-        of length ``k - j - 1``; a successor is entered only where the backward
-        table says it is live.  Frames nest once per advancing edge, so the
-        stack depth is bounded by the automaton, not by ``n``.
+        looping letter, and every other edge enters a smaller quotient.  From a
+        state looping on ``a`` with ``k`` letters left, the members are ``a^k``
+        and, for each ``j``, ``a^j b`` followed by the members of the
+        ``b``-successor of length ``k - j - 1``; a successor is entered only
+        where the backward table says it is live.  Frames nest once per
+        non-looping edge, so the stack depth is bounded by the automaton, not
+        by ``n``.
         """
         _check_length(n)
         if self.start == self.DEAD:
@@ -412,7 +403,7 @@ def parse_language_spec(text: str) -> Language:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the str-digits limit
         raise LanguageSpecError(f"malformed language document: {exc}") from exc
     except RecursionError as exc:  # json.loads recurses per nesting level
         raise LanguageSpecError("language document is nested too deeply") from exc

@@ -443,7 +443,9 @@ def tree_from_json(text: str) -> DecisionTree:
         if not isinstance(doc, dict) or "children" not in doc or not isinstance(doc["children"], list):
             raise TreeFormatError("tree document must be an object with a 'children' list")
         return DecisionTree(tuple(decode(c) for c in doc["children"]))
-    except json.JSONDecodeError as exc:
+    except TreeFormatError:
+        raise
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the str-digits limit
         raise TreeFormatError(f"malformed tree document: {exc}") from exc
     except RecursionError as exc:  # json.loads and decode both recurse per level
         raise TreeFormatError("tree document is nested too deeply") from exc

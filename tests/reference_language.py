@@ -21,6 +21,13 @@ per-state counts over the live states, one letter at a time.
 oracle built its truth table and index masks before ``SliceAutomaton`` took
 them over: the table from the slice's word strings, the masks from one
 big-int division each.
+
+``CounterAutomaton`` is ``SliceAutomaton`` as it was built before its states
+became quotients: the product automaton whose state is a tuple of
+per-obstruction progress counters.  It recognizes the same language but is
+not minimal; its constructor is the old one, verbatim, and every pass is
+inherited, so ``reference_iter_words`` and ``reference_count_words`` walk it
+as they walk the quotient automaton.
 """
 
 from __future__ import annotations
@@ -103,3 +110,48 @@ def reference_count_words(aut: SliceAutomaton, n: int) -> int:
                     nxt[t] = nxt.get(t, 0) + c
         counts = nxt
     return sum(counts.values())
+
+
+class CounterAutomaton(SliceAutomaton):
+    """Product automaton tracking, per obstruction, the longest prefix matched so far.
+
+    A state is a tuple of progress counters.  Reading letter ``b`` advances the
+    counter of obstruction ``f`` when ``f[counter] == b``.  The state is dead as
+    soon as one obstruction is fully matched; dead is absorbing, so all dead
+    states collapse into one.  A word is a member iff its run ends live.
+    """
+
+    def __init__(self, obstructions: tuple[str, ...]):
+        self.obstructions = obstructions
+        lens = [len(f) for f in obstructions]
+        start = tuple(0 for _ in obstructions)
+        self._ids: dict[tuple[int, ...], int] = {}
+        self._trans: list[tuple[int, int]] = [(self.DEAD, self.DEAD)]
+        if any(l == 0 for l in lens):  # the empty word is forbidden: everything dead
+            self.start = self.DEAD
+            return
+        self._ids[start] = 1
+        self._trans.append((0, 0))  # placeholder, filled below
+        self.start = 1
+        queue = [start]
+        while queue:
+            state = queue.pop()
+            sid = self._ids[state]
+            nxt = []
+            for bit in (0, 1):
+                letter = ALPHABET[bit]
+                prog = tuple(
+                    c + 1 if f[c] == letter else c
+                    for c, f in zip(state, obstructions)
+                )
+                if any(c == l for c, l in zip(prog, lens)):
+                    nxt.append(self.DEAD)
+                    continue
+                tid = self._ids.get(prog)
+                if tid is None:
+                    tid = len(self._trans)
+                    self._ids[prog] = tid
+                    self._trans.append((0, 0))
+                    queue.append(prog)
+                nxt.append(tid)
+            self._trans[sid] = (nxt[0], nxt[1])

@@ -83,6 +83,21 @@ def test_classify_missing_file(capsys):
     assert code == 2
 
 
+needs_int_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int-to-str digits"
+)
+HUGE_INT = "1" * 5000  # past the default limit of 4300 digits
+
+
+@needs_int_digit_limit
+def test_language_document_holding_a_huge_integer_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"name": "x", "forbidden": ["11"], "pad": {HUGE_INT}}}')
+    code, out, err = run(capsys, "classify", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed language document: ")
+
+
 # -- enumerate ---------------------------------------------------------------------
 
 
@@ -128,6 +143,22 @@ def test_enumerate_count_only(capsys):
     code, out, _ = run(capsys, "enumerate", "L2", "-n", "2", "--count-only")
     assert code == 0
     assert out.strip() == "4"
+
+
+def test_enumerate_count_only_prints_counts_past_the_digit_limit(capsys):
+    # 2^15000 has 4516 digits, past the default int-to-str limit of 4300
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run(capsys, "enumerate", "L2", "-n", "15000", "--count-only")
+    assert (code, err) == (0, "")
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(0)
+    try:
+        expected = str(2**15000)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    assert out == expected + "\n"
 
 
 # -- depths ------------------------------------------------------------------------
@@ -652,6 +683,19 @@ def test_validate_malformed_tree_document(tmp_path, capsys):
     path.write_text('{"children": [{"leaf": "000"}]}')
     code, _, err = run(capsys, "validate", str(path), str(utf16), "-n", "3")
     assert code == 2 and "language document is not UTF-8" in err
+
+
+@needs_int_digit_limit
+def test_validate_tree_document_holding_a_huge_integer_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"children": [{{"query": {HUGE_INT}, "edges": []}}]}}')
+    code, out, err = run(capsys, "validate", str(path), "L3", "-n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: malformed tree document: ")
+    # the decoder's own errors keep their words
+    path.write_text('{"children": [{"query": true, "edges": []}]}')
+    code, _, err = run(capsys, "validate", str(path), "L3", "-n", "3")
+    assert (code, err) == (2, "error: 'query' must be an integer position\n")
 
 
 def test_validate_deeply_nested_tree_document_is_exit_2(tmp_path, capsys):

@@ -21,8 +21,9 @@ from subword_trees import (
 )
 from subword_trees.language import MAX_TABLE_N, CapExceeded, cube_splits, index_masks
 
-from conftest import small_languages, words_up_to
+from conftest import iter_antichains, small_languages, words_up_to
 from reference_language import (
+    CounterAutomaton,
     brute_slice,
     division_index_masks,
     reference_count_words,
@@ -398,6 +399,96 @@ def test_truth_table_is_capped_at_table_width():
     # the library validator reads the table, so it stops there too
     with pytest.raises(CapExceeded, match="capped at n <= 20"):
         validate_membership(DecisionTree((Leaf("1"),)), L1, 30)
+
+
+# -- the quotient automaton against the counter automaton ------------------------
+
+
+def moore_class_count(aut: SliceAutomaton) -> int:
+    """The number of classes of states that accept the same words: Moore's
+    refinement over the transition table, from dead against live, then by the
+    classes of the successors until no class splits."""
+    classes = [int(sid != aut.DEAD) for sid in range(len(aut._trans))]
+    while True:
+        signatures: dict[tuple[int, int, int], int] = {}
+        refined = [
+            signatures.setdefault((classes[sid], classes[t0], classes[t1]), len(signatures))
+            for sid, (t0, t1) in enumerate(aut._trans)
+        ]
+        if len(signatures) == len(set(classes)):
+            return len(signatures)
+        classes = refined
+
+
+def assert_quotient_automaton_matches_counters(obstructions, assignments):
+    aut, ref = SliceAutomaton(obstructions), CounterAutomaton(obstructions)
+    for n in range(0, 11):
+        where = (obstructions, n)
+        assert aut.count_words(n) == reference_count_words(ref, n), where
+        assert list(aut.iter_words(n)) == list(reference_iter_words(ref, n)), where
+        assert aut.truth_table(n) == ref.truth_table(n), where
+        for assignment in assignments:
+            forced = {p: b for p, b in assignment.items() if p <= n}
+            for member in (True, False):
+                got = aut.find_consistent(n, forced, member)
+                assert got == ref.find_consistent(n, forced, member), (where, forced, member)
+
+
+def test_quotient_automaton_matches_counter_automaton_on_small_antichains():
+    rng = random.Random(24)
+    for obstructions in iter_antichains(3):
+        assignments = [
+            {p: rng.randint(0, 1) for p in range(1, 11) if rng.random() < 0.3} for _ in range(3)
+        ]
+        assert_quotient_automaton_matches_counters(obstructions, assignments)
+
+
+@given(
+    words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=5), max_size=5),
+    assignments=hs.lists(
+        hs.dictionaries(hs.integers(1, 10), hs.integers(0, 1), max_size=6), max_size=3
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_quotient_automaton_matches_counter_automaton_on_drawn_antichains(words, assignments):
+    assert_quotient_automaton_matches_counters(tuple(words), assignments)
+
+
+def test_quotient_automaton_is_minimal():
+    for lang in small_languages() + [
+        Language.from_forbidden("avoid-001-010-0111", ["001", "010", "0111"]),
+        Language.from_forbidden("avoid-001-0000-0111", ["001", "0000", "0111"]),
+        Language.from_forbidden("avoid-01-0000", ["01", "0000"]),
+        Language.from_forbidden("avoid-0101-1010", ["0101", "1010"]),
+        Language.from_forbidden("avoid-0100-1011", ["0100", "1011"]),
+        Language.from_forbidden("empty", [""]),
+        Language.from_forbidden("full", []),
+    ]:
+        aut, ref = lang.automaton(), CounterAutomaton(lang.obstructions)
+        assert moore_class_count(aut) == len(aut._trans), lang.name
+        assert len(aut._trans) <= len(ref._trans), lang.name
+    # the refinement sees the counter automaton's equal quotients
+    ref = CounterAutomaton(("001", "0000", "0111"))
+    assert (len(ref._trans), moore_class_count(ref)) == (11, 7)
+    assert len(SliceAutomaton(("001", "0000", "0111"))._trans) == 7
+
+
+@given(words=hs.lists(hs.text(alphabet="01", min_size=1, max_size=5), max_size=5))
+@settings(max_examples=60, deadline=None)
+def test_quotient_automaton_is_minimal_on_drawn_antichains(words):
+    aut = SliceAutomaton(tuple(words))
+    assert moore_class_count(aut) == len(aut._trans)
+    assert len(aut._trans) <= len(CounterAutomaton(tuple(words))._trans)
+
+
+def test_quotient_automaton_of_many_long_obstructions_stays_small():
+    # the 252 words of length 10 with five 1s: the counter automaton has
+    # 18,410 states, the quotient automaton 36, dead included
+    words = tuple(w for w in all_words(10) if w.count("1") == 5)
+    aut = SliceAutomaton(words)
+    assert len(words) == 252
+    assert len(aut._trans) == 36
+    assert aut.count_words(20) == 12392
 
 
 # -- word-set splits against a per-word construction ------------------------------
