@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from .dimensions import INFINITY, homogeneity_dimension, slice_size_bound
-from .language import ALPHABET, CapExceeded, Language, agreeing
+from .language import ALPHABET, Language, agreeing
 from .oracle import greedy_hitting_set, min_hitting_set
 from .trees import (
     Ask,
@@ -202,9 +202,9 @@ def block_recognition_strategy(lang: Language, n: int) -> BlockRecognitionStrate
     return BlockRecognitionStrategy(lang, n)
 
 
-def worst_case_queries(lang: Language, strategy: QueryStrategy, cap: int) -> int | None:
-    """Most queries the strategy asks on one slice word; None when the slice
-    has more than ``cap`` words.
+def worst_case_queries(lang: Language, strategy: QueryStrategy, cap: int) -> int:
+    """Most queries the strategy asks on one slice word; raises ``CapExceeded``,
+    as ``Language.slice`` does, when the slice has more than ``cap`` words.
 
     The strategy is played as a tree over the slice: each node carries the
     list of slice words whose answers lead to it and splits it by the letter
@@ -214,12 +214,8 @@ def worst_case_queries(lang: Language, strategy: QueryStrategy, cap: int) -> int
     misrecognized word, and ``StrategyError`` past one query per letter.
     """
     n = strategy.n
-    try:
-        words = lang.slice(n, cap)
-    except CapExceeded:
-        return None
     worst, wrong = 0, []
-    stack = [(strategy.initial_state(), words, 0)]
+    stack = [(strategy.initial_state(), lang.slice(n, cap), 0)]
     while stack:
         state, S, depth = stack.pop()
         act = strategy.next_action(state)

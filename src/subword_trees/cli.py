@@ -27,6 +27,7 @@ from .language import (
     LanguageSpecError,
     bundled_path,
     load_language,
+    read_document,
 )
 from .trees import (
     DET,
@@ -207,9 +208,9 @@ def _paper_rd(lang: Language, n: int, max_slice: int) -> int | None:
             strategy = builders.DistinguishingSetStrategy(lang, n, max_slice)
         else:
             strategy = builders.block_recognition_strategy(lang, n)
+        return builders.worst_case_queries(lang, strategy, max_slice)
     except (oracle.CapExceeded, builders.BuilderPreconditionError):
         return None
-    return builders.worst_case_queries(lang, strategy, max_slice)
 
 
 def cmd_depths(args) -> int:
@@ -277,7 +278,6 @@ def _build_tree(args, lang: Language, n: int) -> DecisionTree | dict:
         if n <= MATERIALIZE_LIMIT:
             return materialize_strategy(strategy)
         # too deep to expand: report the measured query bound instead
-        worst = builders.worst_case_queries(lang, strategy, args.max_slice)
         return {
             "algorithm": "paper",
             "problem": "recognition",
@@ -285,8 +285,8 @@ def _build_tree(args, lang: Language, n: int) -> DecisionTree | dict:
             "n": n,
             "block_length": strategy.t,
             "query_budget": strategy.query_budget(),
-            "max_queries_observed": worst or 0,
-            "words_simulated": 0 if worst is None else lang.count_slice(n),
+            "max_queries_observed": builders.worst_case_queries(lang, strategy, args.max_slice),
+            "words_simulated": lang.count_slice(n),
         }
     # membership
     if algorithm == "exact":
@@ -326,12 +326,7 @@ def cmd_build_tree(args) -> int:
 def cmd_validate(args) -> int:
     lang = _resolve_language(args.language)
     n = args.n
-    with open(args.tree, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise TreeFormatError(f"tree document is not UTF-8: {exc}") from exc
-    tree = tree_from_json(text)
+    tree = tree_from_json(read_document(args.tree, "tree", TreeFormatError))
     if args.problem == "recognition":
         violation = validate_recognition(tree, lang, n, args.mode)
     else:

@@ -73,10 +73,11 @@ def canonicalize_antichain(words: Iterable[str]) -> tuple[str, ...]:
     The represented avoidance language is unchanged: any word dominated by a
     shorter forbidden subword is redundant as an obstruction.
     """
-    ws = sorted({require_word(w) for w in words}, key=shortlex_key)
-    return tuple(
-        w for w in ws if not any(u != w and is_subsequence(u, w) for u in ws)
-    )
+    kept: list[str] = []  # shortlex puts every proper subword of w before w
+    for w in sorted({require_word(x) for x in words}, key=shortlex_key):
+        if not any(is_subsequence(u, w) for u in kept):
+            kept.append(w)
+    return tuple(kept)
 
 
 def closure_to_antichain(generators: Iterable[str]) -> tuple[str, ...]:
@@ -208,12 +209,13 @@ class SliceAutomaton:
     Deleting a letter keeps membership, so a quotient only shrinks along a
     run: every edge either loops or enters a smaller quotient, and a run
     never returns to a state it has left.  Three passes read the transition
-    table: ``_backward`` builds the one backward table counting, per state,
-    the endings that reach the wanted end, which ``count_words`` and
-    ``exists_consistent`` read at the start state and ``find_consistent``
-    walks to the lexicographically least witness; ``iter_words`` lists the
-    slice one letter run at a time, pruned by that table; and ``truth_table``
-    builds the slice indicator bottom up, one table per state and length.
+    table: ``_rows`` yields the one backward table row by row, counting per
+    state the endings that reach the wanted end; ``count_words`` keeps only
+    its last row, and ``_backward`` keeps all of them for ``exists_consistent``
+    and for ``find_consistent``, which walks them to the lexicographically
+    least witness; ``iter_words`` lists the slice one letter run at a time,
+    pruned by that table; and ``truth_table`` builds the slice indicator
+    bottom up, one table per state and length.
     Every pass raises ``ValueError`` for a negative length.
     """
 
@@ -239,8 +241,10 @@ class SliceAutomaton:
             ))
 
     def count_words(self, n: int) -> int:
-        """The number of members of length ``n``, read off the backward table."""
-        return self._backward(n, {}, True)[n][self.start]
+        """The number of members of length ``n``, read off the last backward row alone."""
+        for row in self._rows(n, {}, True):
+            pass
+        return row[self.start]
 
     count_consistent = count_words  # perfbench/tracer.py wraps both names
 
@@ -303,18 +307,21 @@ class SliceAutomaton:
         letters that, read from state ``sid`` (dead included) as the last
         ``m`` letters under ``assignment`` (1-based positions to bits), reach
         a member end, or a non-member end if ``member`` is false."""
+        return list(self._rows(n, assignment, member))
+
+    def _rows(self, n: int, assignment: dict[int, int], member: bool) -> Iterator[list[int]]:
+        """The rows of the backward table, m = 0 to n in order: the one counting pass."""
         _check_length(n)
         trans = self._trans
         row = [int(not member)] + [int(member)] * (len(trans) - 1)  # DEAD is state 0
-        table = [row]
+        yield row
         for pos in range(n, 0, -1):
             forced = assignment.get(pos)
             if forced is None:
                 row = [row[t0] + row[t1] for t0, t1 in trans]
             else:
                 row = [row[step[forced]] for step in trans]
-            table.append(row)
-        return table
+            yield row
 
     def find_consistent(self, n: int, assignment: dict[int, int], member: bool) -> str | None:
         """The lexicographically least word matching ``assignment`` (1-based
@@ -393,6 +400,25 @@ def _check_table_width(n: int) -> None:
         raise CapExceeded(f"truth table capped at n <= {MAX_TABLE_N}, got {n}")
 
 
+def read_document(path: str, kind: str, error: type[ValueError]) -> str:
+    """The text of the UTF-8 file at ``path``, else ``error`` naming the ``kind`` of document."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{kind} document is not UTF-8: {exc}") from exc
+
+
+def decode_document(text: str, kind: str, error: type[ValueError]):
+    """The JSON value of ``text``, or else ``error`` worded for the ``kind`` of document."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the str-digits limit
+        raise error(f"malformed {kind} document: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses per nesting level
+        raise error(f"{kind} document is nested too deeply") from exc
+
+
 def parse_language_spec(text: str) -> Language:
     """Parse a language description document.
 
@@ -401,12 +427,7 @@ def parse_language_spec(text: str) -> Language:
     (generator words, converted to the obstruction antichain of their downward
     closure).  The empty string denotes the empty word.
     """
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the str-digits limit
-        raise LanguageSpecError(f"malformed language document: {exc}") from exc
-    except RecursionError as exc:  # json.loads recurses per nesting level
-        raise LanguageSpecError("language document is nested too deeply") from exc
+    doc = decode_document(text, "language", LanguageSpecError)
     if not isinstance(doc, dict):
         raise LanguageSpecError("malformed language document: expected a JSON object")
     name = doc.get("name")
@@ -428,12 +449,7 @@ def parse_language_spec(text: str) -> Language:
 
 
 def load_language(path: str) -> Language:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise LanguageSpecError(f"language document is not UTF-8: {exc}") from exc
-    return parse_language_spec(text)
+    return parse_language_spec(read_document(path, "language", LanguageSpecError))
 
 
 def bundled_path(name: str) -> str:

@@ -11,12 +11,11 @@ one path simply accept nothing.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Union
 
-from .language import MAX_SLICE, Language, cube_splits
+from .language import MAX_SLICE, Language, cube_splits, decode_document
 
 DET = "det"
 NONDET = "nondet"
@@ -413,6 +412,7 @@ def tree_to_json(tree: DecisionTree) -> str:
 
 
 def tree_from_json(text: str) -> DecisionTree:
+    """The tree of a tree document; raises ``TreeFormatError`` where it is malformed."""
     def decode(obj) -> Node:
         if not isinstance(obj, dict):
             raise TreeFormatError("tree node must be an object")
@@ -438,16 +438,12 @@ def tree_from_json(text: str) -> DecisionTree:
             return Branch(pos, tuple(decoded))
         raise TreeFormatError("tree node needs 'leaf' or 'query'")
 
+    doc = decode_document(text, "tree", TreeFormatError)
+    if not isinstance(doc, dict) or "children" not in doc or not isinstance(doc["children"], list):
+        raise TreeFormatError("tree document must be an object with a 'children' list")
     try:
-        doc = json.loads(text)
-        if not isinstance(doc, dict) or "children" not in doc or not isinstance(doc["children"], list):
-            raise TreeFormatError("tree document must be an object with a 'children' list")
         return DecisionTree(tuple(decode(c) for c in doc["children"]))
-    except TreeFormatError:
-        raise
-    except ValueError as exc:  # a JSONDecodeError, or an integer past the str-digits limit
-        raise TreeFormatError(f"malformed tree document: {exc}") from exc
-    except RecursionError as exc:  # json.loads and decode both recurse per level
+    except RecursionError as exc:  # decode recurses once per node
         raise TreeFormatError("tree document is nested too deeply") from exc
 
 

@@ -22,6 +22,10 @@ oracle built its truth table and index masks before ``SliceAutomaton`` took
 them over: the table from the slice's word strings, the masks from one
 big-int division each.
 
+``reference_canonicalize_antichain`` is ``canonicalize_antichain`` as it was
+before it tested each word only against the minimal words kept so far: it
+tests every ordered pair of distinct words.
+
 ``CounterAutomaton`` is ``SliceAutomaton`` as it was built before its states
 became quotients: the product automaton whose state is a tuple of
 per-obstruction progress counters.  It recognizes the same language but is
@@ -32,9 +36,18 @@ as they walk the quotient automaton.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from subword_trees.language import ALPHABET, CapExceeded, Language, SliceAutomaton, _check_length
+from subword_trees.language import (
+    ALPHABET,
+    CapExceeded,
+    Language,
+    SliceAutomaton,
+    _check_length,
+    is_subsequence,
+    require_word,
+    shortlex_key,
+)
 
 MAX_BRUTE_N = 22
 
@@ -51,6 +64,14 @@ def brute_slice(lang: Language, n: int, max_n: int = MAX_BRUTE_N) -> list[str]:
 def reference_is_subsequence(u: str, w: str) -> bool:
     it = iter(w)
     return all(c in it for c in u)
+
+
+def reference_canonicalize_antichain(words: Iterable[str]) -> tuple[str, ...]:
+    """The subword-minimal words of a word set, deduplicated, in shortlex order."""
+    ws = sorted({require_word(w) for w in words}, key=shortlex_key)
+    return tuple(
+        w for w in ws if not any(u != w and is_subsequence(u, w) for u in ws)
+    )
 
 
 def string_truth_table(lang: Language, n: int) -> int:

@@ -10,6 +10,7 @@ from subword_trees import (
     Branch,
     BlockRecognitionStrategy,
     BuilderPreconditionError,
+    CapExceeded,
     CertificateError,
     Finish,
     Language,
@@ -264,7 +265,8 @@ def test_worst_case_queries_matches_reference(corpus):
             count = lang.count_slice(n)
             assert worst_case_queries(lang, strategy, count) == want
             if count:
-                assert worst_case_queries(lang, strategy, count - 1) is None
+                with pytest.raises(CapExceeded, match=f"slices of <= {count - 1} words"):
+                    worst_case_queries(lang, strategy, count - 1)
 
 
 def test_strategy_never_queries_a_position_twice(corpus):
@@ -357,7 +359,8 @@ def test_worst_case_queries_matches_reference_on_drawn_antichains(words):
             assert got == replay_outcome(reference_worst_case_queries, lang, strategy, count)
             assert isinstance(got, int) or isinstance(strategy, ForgetfulStrategy)
             if count:
-                assert worst_case_queries(lang, strategy, count - 1) is None
+                with pytest.raises(CapExceeded, match=f"slices of <= {count - 1} words"):
+                    worst_case_queries(lang, strategy, count - 1)
 
 
 def test_paper_walks_read_the_slice_words_without_a_split_table(corpus, monkeypatch):

@@ -527,6 +527,23 @@ def test_nondet_paper_build_honours_max_slice(tmp_path, capsys):
     assert code == 0 and out.exists()
 
 
+def test_block_report_past_max_slice_exits_3(tmp_path, capsys):
+    # L3(5000) holds 5,001 words, past the default cap of 4,096
+    out = tmp_path / "t.json"
+    argv = ["build-tree", "L3", "-n", "5000", "--algorithm", "paper", "--out", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (3, "")
+    assert err == "error: recognition capped at slices of <= 4096 words, got L3(5000)\n"
+    assert not out.exists()
+    code, _, _ = run(capsys, *argv, "--max-slice", "6000")
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert (doc["max_queries_observed"], doc["words_simulated"], doc["query_budget"]) == (
+        17, 5001, 20
+    )
+    assert paper_rd_cell(capsys, "L3", 5000) == ("", "SKIPPED")
+
+
 def test_build_tree_dot_with_query_bound_report_is_usage_error(tmp_path, capsys):
     dot_path = tmp_path / "x.dot"
     code, out, err = run(capsys, "build-tree", "L3", "-n", "40", "--dot", str(dot_path))

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from reference_language import (
     CounterAutomaton,
     brute_slice,
     division_index_masks,
+    reference_canonicalize_antichain,
     reference_count_words,
     reference_is_subsequence,
     reference_iter_words,
@@ -128,6 +130,30 @@ def test_canonicalize_idempotent_and_language_preserving():
 def test_canonicalize_rejects_bad_letters():
     with pytest.raises(LanguageSpecError):
         canonicalize_antichain(["12"])
+
+
+def canonical_outcome(canonicalize, words):
+    """The antichain, or the message of the ``LanguageSpecError`` raised."""
+    try:
+        return canonicalize(words)
+    except LanguageSpecError as exc:
+        return str(exc)
+
+
+def test_canonicalize_matches_reference():
+    # drawn word lists with duplicates and empty words; every tenth holds a bad letter
+    rng = random.Random(25)
+    for i in range(3000):
+        ws = [
+            "".join(rng.choice("01") for _ in range(rng.randint(0, 6)))
+            for _ in range(rng.randint(0, 8))
+        ]
+        ws += rng.choices(ws, k=rng.randint(1, 3)) if ws else [""]
+        if i % 10 == 0:
+            ws.insert(rng.randint(0, len(ws)), "0" * rng.randint(0, 3) + "2")
+        want = canonical_outcome(reference_canonicalize_antichain, ws)
+        assert canonical_outcome(canonicalize_antichain, ws) == want, ws
+        assert isinstance(want, str) == (i % 10 == 0), ws
 
 
 # -- downward closure --------------------------------------------------------
@@ -333,6 +359,26 @@ def test_count_words_match_reference():
 @settings(max_examples=25, deadline=None)
 def test_count_words_match_reference_on_drawn_antichains(words):
     assert_count_words_match_reference(Language.from_forbidden("drawn", words))
+
+
+def test_count_words_reads_the_last_row_of_the_backward_table(corpus):
+    for lang in corpus:
+        aut = lang.automaton()
+        for n in range(13):
+            assert aut.count_words(n) == aut._backward(n, {}, True)[n][aut.start], (lang.name, n)
+
+
+def test_count_words_holds_one_row_at_a_time():
+    # the whole table of L2(20000) holds 20,001 rows of counts up to 2^20000
+    aut = bundled_language("L2").automaton()
+    tracemalloc.start()
+    try:
+        count = aut.count_words(20000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == 2**20000
+    assert peak < 1 << 20, peak
 
 
 # -- run-length enumeration against the trie walk ----------------------------
