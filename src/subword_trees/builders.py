@@ -12,9 +12,10 @@ in constant depth when slices stay bounded.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 
 from .dimensions import INFINITY, homogeneity_dimension, slice_size_bound
-from .language import ALPHABET, Language, agreeing
+from .language import Language, agreeing
 from .oracle import greedy_hitting_set, min_hitting_set
 from .trees import (
     Ask,
@@ -92,14 +93,15 @@ class BlockRecognitionStrategy(QueryStrategy):
     t letters on each side of a mixed block.  Worst case
     ``t*ceil(log2(n/t)) + 7t`` queries.
 
-    The strategy reads in rounds: the four boundary blocks, a third block, one
-    search block, or the window around a mixed block.  A state is the immutable
-    tuple ``(known, todo, step, label)``: the word read so far, with ``?`` at
-    each unread position, the positions still to ask in this round, what the
-    round decides once it is read (``("finish", a, b, until)`` or
-    ``("probe", a, b, lo, hi, r)``; None for the boundary round), and the
-    label.  The strategy has finished when ``todo`` is empty.  ``next_action``
-    reads the state in O(1); ``advance`` runs the decision once per round.
+    The strategy reads in rounds, each one ``Ask``: the four boundary blocks,
+    a third block, one search block, or the window around a mixed block, less
+    the letters earlier rounds read.  A state is the immutable tuple ``(known,
+    ask, step, label)``: the word read so far, with ``?`` at each unread
+    position, the round being asked (None once finished), what the round
+    decides once it is read (``("finish", a, b, until)`` or ``("probe", a, b,
+    lo, hi, r)``; None for the boundary round), and the label.
+    ``next_action`` reads the state in O(1); ``advance`` splices the round's
+    letters into ``known`` with string slices and runs the decision once.
     """
 
     def __init__(self, lang: Language, n: int):
@@ -112,16 +114,10 @@ class BlockRecognitionStrategy(QueryStrategy):
         # whole t-blocks over the interior; the division remainder is absorbed
         # into the final block, which may be up to 2t-1 letters long
         self.block_count = (n - 4 * t) // t
-        self._edges = tuple(range(1, 2 * t + 1)) + tuple(range(n - 2 * t + 1, n + 1))
-        self._asks = tuple(Ask(p) for p in range(1, n + 1))  # frozen, so shared by every state
-        spans = map(self.block_span, range(self.block_count))
-        self._blocks = [tuple(range(s, e + 1)) for s, e in spans]  # one round per search block
+        cuts = [*range(self.mid_start, self.mid_start + t * self.block_count, t), n - 2 * t + 1]
+        self._blocks = [Ask(tuple(range(s, e))) for s, e in zip(cuts, cuts[1:])]  # search rounds
+        self._edges = Ask(tuple(range(1, 2 * t + 1)) + tuple(range(n - 2 * t + 1, n + 1)))
         self.fallback = lang.first_slice_word(n)
-
-    def block_span(self, idx: int) -> tuple[int, int]:
-        start = self.mid_start + idx * self.t
-        end = self.mid_end if idx == self.block_count - 1 else start + self.t - 1
-        return start, end
 
     def query_budget(self) -> int:
         """Worst-case query count of this strategy."""
@@ -129,63 +125,62 @@ class BlockRecognitionStrategy(QueryStrategy):
 
     # -- decision logic -----------------------------------------------------
 
-    def initial_state(self):
-        if self.fallback is None:
-            return ("?" * self.n, (), None, None)  # empty slice: nothing to recognize
-        return ("?" * self.n, self._edges, None, None)
+    def initial_state(self):  # an empty slice has nothing to recognize
+        return ("?" * self.n, self._edges if self.fallback else None, None, None)
 
     def next_action(self, state):
-        todo = state[1]
-        if todo:
-            return self._asks[todo[0] - 1]
-        return Finish(state[3])
+        return state[1] or Finish(state[3])
 
-    def advance(self, state, position: int, bit: int):
-        known, todo, step, _ = state
-        if not todo or todo[0] != position:
-            raise StrategyError(
-                f"advance at position {position} does not answer the strategy's query"
-            )
-        known = known[: position - 1] + ALPHABET[bit] + known[position:]
-        if len(todo) > 1:
-            return (known, todo[1:], step, None)
-        return self._decide(known, step)
+    def advance(self, state, letters: str):
+        known, ask, step, _ = state
+        if ask is None or len(letters) != len(ask.positions):
+            raise StrategyError(f"letters {letters!r} do not answer the strategy's round {ask}")
+        lo, hi = ask.positions[0] - 1, ask.positions[-1]
+        if hi - lo == len(letters):  # one run of positions
+            known = known[:lo] + letters + known[hi:]
+        elif step is None:  # the boundary blocks, around the unread interior
+            edge = 2 * self.t
+            known = letters[:edge] + known[edge:-edge] + letters[edge:]
+        else:  # a window: its unread letters, in order
+            unread = iter(letters)
+            window = "".join(c if c != "?" else next(unread) for c in known[lo:hi])
+            known = known[:lo] + window + known[hi:]
+        return self._decide(known, step, letters)
 
-    def _round(self, known: str, todo, step):
-        """The state that reads ``todo`` and then decides ``step``."""
-        return (known, todo, step, None) if todo else self._decide(known, step)
-
-    def _decide(self, known: str, step):
-        """The state after a round: the next round to read, or the label."""
+    def _decide(self, known: str, step, letters: str):
+        """The state after a round answered with ``letters``: the next round, or the label."""
         if step is None:  # the boundary blocks
             rule = _boundary_rule(known, self.n, self.t)
             if rule is None:
-                return (known, (), None, self.fallback)
-            a, b, third = rule
+                return (known, None, None, self.fallback)
+            a, b, todo = rule
             if a != b:
                 return self._probe(known, a, b, 0, self.block_count - 1)
-            return self._round(known, third, ("finish", a, a, self.mid_end))
-        if step[0] == "finish":
+            until = self.mid_end
+        elif step[0] == "finish":
             return self._finish(known, *step[1:])
-        _, a, b, lo, hi, r = step
-        start, end = self._blocks[r][0], self._blocks[r][-1]
-        letters = known[start - 1 : end]  # the block just read
-        if not letters.strip(a):
-            return self._probe(known, a, b, r + 1, hi)
-        if not letters.strip(b):
-            return self._probe(known, a, b, lo, r - 1)
-        lo_w = max(self.mid_start, start - self.t)
-        hi_w = min(self.mid_end, end + self.t)
-        # earlier rounds may have read part of the window
-        todo = tuple(p for p in range(lo_w, hi_w + 1) if known[p - 1] == "?")
-        return self._round(known, todo, ("finish", a, b, lo_w - 1))
+        else:
+            _, a, b, lo, hi, r = step
+            if not letters.strip(a):  # the search block just read
+                return self._probe(known, a, b, r + 1, hi)
+            if not letters.strip(b):
+                return self._probe(known, a, b, lo, r - 1)
+            block = self._blocks[r].positions
+            lo_w = max(self.mid_start, block[0] - self.t)
+            hi_w = min(self.mid_end, block[-1] + self.t)
+            # earlier rounds may have read part of the window
+            todo = tuple(p for p in range(lo_w, hi_w + 1) if known[p - 1] == "?")
+            until = lo_w - 1
+        if not todo:
+            return self._finish(known, a, b, until)
+        return (known, Ask(todo), ("finish", a, b, until), None)
 
     def _probe(self, known: str, a: str, b: str, lo: int, hi: int):
         """Read the middle block of ``lo..hi``, or finish once the search is empty."""
         if lo <= hi:
             r = lo + (hi - lo) // 2
             return (known, self._blocks[r], ("probe", a, b, lo, hi, r), None)
-        boundary = self._blocks[hi][-1] if hi >= 0 else self.mid_start - 1
+        boundary = self._blocks[hi].positions[-1] if hi >= 0 else self.mid_start - 1
         return self._finish(known, a, b, boundary)
 
     def _finish(self, known: str, a: str, b: str, until: int):
@@ -195,23 +190,37 @@ class BlockRecognitionStrategy(QueryStrategy):
         word = known[:until].replace("?", a) + known[until:].replace("?", b)
         if not self.lang.contains(word):
             word = self.fallback
-        return (known, (), None, word)
+        return (known, None, None, word)
 
 
 def block_recognition_strategy(lang: Language, n: int) -> BlockRecognitionStrategy:
     return BlockRecognitionStrategy(lang, n)
 
 
+def _letters_at(positions: tuple[int, ...]):
+    """The function reading a word's letters at the 1-based ``positions`` in
+    order: one slice per run of consecutive positions."""
+    starts = [i for i, p in enumerate(positions) if not i or p != positions[i - 1] + 1]
+    ends = [*starts[1:], len(positions)]
+    runs = [(positions[i] - 1, positions[j - 1]) for i, j in zip(starts, ends)]
+    if len(runs) <= 2:  # every round of the block strategy
+        (a, b), (c, d) = runs + [(0, 0)] * (2 - len(runs))
+        return lambda w: w[a:b] + w[c:d]
+    return lambda w: "".join([w[a:b] for a, b in runs])
+
+
 def worst_case_queries(lang: Language, strategy: QueryStrategy, cap: int) -> int:
     """Most queries the strategy asks on one slice word; raises ``CapExceeded``,
     as ``Language.slice`` does, when the slice has more than ``cap`` words.
 
-    The strategy is played as a tree over the slice: each node carries the
-    list of slice words whose answers lead to it and splits it by the letter
-    at the asked position, so ``next_action`` and ``advance`` run once per
-    distinct answer transcript, not once per word; a leaf is right when its
+    The strategy is played as a tree of rounds over the slice: each node
+    carries the list of slice words whose answers lead to it, splits it once
+    by their letters at the round's positions and adds the round's length to
+    the depth, so ``next_action`` and ``advance`` run once per distinct round
+    transcript, not once per word or per query; a leaf is right when its
     words are exactly its label.  Raises ``AssertionError`` naming the least
-    misrecognized word, and ``StrategyError`` past one query per letter.
+    misrecognized word, and ``StrategyError`` naming the first position past
+    one query per letter.
     """
     n = strategy.n
     worst, wrong = 0, []
@@ -224,15 +233,23 @@ def worst_case_queries(lang: Language, strategy: QueryStrategy, cap: int) -> int
                 wrong += (w for w in S if w != act.label)
             worst = max(worst, depth)
             continue
-        if depth >= n:
-            raise StrategyError(f"query budget {n} exceeded at position {act.position}")
-        p = act.position - 1
-        ones = [w for w in S if w[p] == "1"]
-        if len(ones) < len(S):  # most queries split no list: then it is scanned once
-            zeros = [w for w in S if w[p] == "0"] if ones else S
-            stack.append((strategy.advance(state, act.position, 0), zeros, depth + 1))
-        if ones:
-            stack.append((strategy.advance(state, act.position, 1), ones, depth + 1))
+        positions = act.positions
+        if depth + len(positions) > n:
+            raise StrategyError(f"query budget {n} exceeded at position {positions[n - depth]}")
+        depth += len(positions)
+        if len(positions) == 1:  # most rounds split no list: then it is scanned once
+            p = positions[0] - 1
+            ones = [w for w in S if w[p] == "1"]
+            if len(ones) < len(S):
+                zeros = [w for w in S if w[p] == "0"] if ones else S
+                stack.append((strategy.advance(state, "0"), zeros, depth))
+            if ones:
+                stack.append((strategy.advance(state, "1"), ones, depth))
+        else:
+            parts = defaultdict(list)
+            for key, w in zip(map(_letters_at(positions), S), S):
+                parts[key].append(w)
+            stack += ((strategy.advance(state, key), words, depth) for key, words in parts.items())
     if wrong:
         raise AssertionError(f"strategy misrecognized {min(wrong)!r} for {lang.name}")
     return worst
@@ -300,9 +317,11 @@ class DistinguishingSetStrategy(QueryStrategy):
 
     Picks a smallest position set separating every pair of slice words (exact
     search up to ``MAX_EXACT_DISTINGUISHING`` words, greedy pair cover beyond),
-    asks it in increasing order, and finishes with the member read, or with
-    the lexicographically least member when the answers match none (None for
-    an empty slice).  Raises ``CapExceeded`` past ``max_slice`` words.
+    asks it as one round in increasing order, and finishes with the member
+    whose letters there are the answers, or with the lexicographically least
+    member when the answers match none (None for an empty slice).  A state is
+    the string of the letters answered.  Raises ``CapExceeded`` past
+    ``max_slice`` words.
     """
 
     def __init__(self, lang: Language, n: int, max_slice: int | None = None):
@@ -320,13 +339,12 @@ class DistinguishingSetStrategy(QueryStrategy):
             raise AssertionError(
                 f"distinguishing set larger than the squared slice bound for {lang.name}"
             )
-        # a state is the transcript of answers; each member is keyed by its own
-        self._members = {tuple((p, int(w[p - 1])) for p in self.positions): w for w in words}
+        self._members = dict(zip(map(_letters_at(self.positions), words), words))
         self._least = words[0] if words else None
 
     def next_action(self, state):
         if len(state) < len(self.positions):
-            return Ask(self.positions[len(state)])
+            return Ask(self.positions)
         return Finish(self._members.get(state, self._least))
 
 

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from typing import Iterable, Iterator
 
@@ -133,11 +134,19 @@ class Language:
     def contains(self, w: str) -> bool:
         """Membership: no obstruction embeds into ``w`` as a subsequence.
 
-        Raises ``LanguageSpecError`` if ``w`` has a letter other than 0 and 1.
+        One match of a pattern compiled on first use: a ``[^c]*c`` chain per
+        obstruction, which matches a prefix of ``w`` iff the obstruction
+        embeds (the empty one always; no obstructions, never).  Raises
+        ``LanguageSpecError`` if ``w`` has a letter other than 0 and 1.
         """
         if w.count("0") + w.count("1") != len(w):
             require_word(w)  # raises, naming the word
-        return not any(is_subsequence(f, w) for f in self.obstructions)
+        return self._embeds(w) is None
+
+    @cached_property
+    def _embeds(self):
+        chains = ("".join(f"[^{c}]*{c}" for c in f) for f in self.obstructions)
+        return re.compile("|".join(chains) if self.obstructions else "(?!)").match
 
     def automaton(self) -> "SliceAutomaton":
         return _automaton_for(self.obstructions)
@@ -214,7 +223,7 @@ class SliceAutomaton:
     its last row, and ``_backward`` keeps all of them for ``exists_consistent``
     and for ``find_consistent``, which walks them to the lexicographically
     least witness; ``iter_words`` lists the slice one letter run at a time,
-    pruned by that table; and ``truth_table`` builds the slice indicator
+    pruned by the horizons; and ``truth_table`` builds the slice indicator
     bottom up, one table per state and length.
     Every pass raises ``ValueError`` for a negative length.
     """
@@ -240,6 +249,22 @@ class SliceAutomaton:
                 for b in ALPHABET
             ))
 
+    @cached_property
+    def horizon(self) -> list[float]:
+        """``horizon[q]`` is the length of the longest member read from state
+        q: -1 for dead, infinite on a looping live state, else 1 + the larger
+        horizon of its two successors.  A quotient is subword-closed, so q
+        reads a member of every length up to its horizon and of none beyond."""
+        h = [-1] + [None] * (len(self._trans) - 1)
+        stack = [self.start]
+        while stack:  # successors first; a state pushed twice is done at its first pop
+            q = stack[-1]
+            t0, t1 = self._trans[q]
+            stack += [t for t in (t0, t1) if h[t] is None and t != q]
+            if stack[-1] == q and h[stack.pop()] is None:
+                h[q] = float("inf") if q in (t0, t1) else 1 + max(h[t0], h[t1])
+        return h
+
     def count_words(self, n: int) -> int:
         """The number of members of length ``n``, read off the last backward row alone."""
         for row in self._rows(n, {}, True):
@@ -256,7 +281,7 @@ class SliceAutomaton:
         state looping on ``a`` with ``k`` letters left, the members are ``a^k``
         and, for each ``j``, ``a^j b`` followed by the members of the
         ``b``-successor of length ``k - j - 1``; a successor is entered only
-        where the backward table says it is live.  Frames nest once per
+        within its horizon, so no table is built.  Frames nest once per
         non-looping edge, so the stack depth is bounded by the automaton, not
         by ``n``.
         """
@@ -266,40 +291,41 @@ class SliceAutomaton:
         if self._trans[self.start] == (self.start, self.start):  # no obstructions
             yield from all_words(n)
             return
-        live = self._backward(n, {}, member=True)
-        stack = [self._runs(self.start, n, "", live)]
+        one_run = {q: ALPHABET[t1 == q] for q, (t0, t1) in enumerate(self._trans)
+                   if q and q in (t0, t1) and self.DEAD in (t0, t1)}  # q reads a^k only
+        stack = [self._runs(self.start, n, "")]
         while stack:
             for item in stack[-1]:
                 if type(item) is str:
                     yield item
+                elif item[0] in one_run:  # its one member, without a frame
+                    yield item[2] + one_run[item[0]] * item[1]
                 else:
-                    stack.append(self._runs(*item, live))
+                    stack.append(self._runs(*item))
                     break
             else:
                 stack.pop()
 
-    def _runs(self, sid: int, k: int, prefix: str, live: list[list[int]]):
+    def _runs(self, sid: int, k: int, prefix: str):
         """Members below ``prefix`` in lexicographic order, from state ``sid``
         with ``k`` letters left: finished words, and ``(state, letters left,
-        prefix)`` frames for ``iter_words`` to expand in place."""
+        prefix)`` frames for ``iter_words`` to expand in place.  A successor
+        ``t`` is entered with ``m <= horizon[t]`` letters left, none if dead."""
         t0, t1 = self._trans[sid]
+        h = self.horizon
         if t0 == sid:  # 0-loop: 0^k is least, then longer 0-runs before shorter
             yield prefix + "0" * k
-            if t1 != self.DEAD:
-                for j in range(k - 1, -1, -1):
-                    if live[k - j - 1][t1]:
-                        yield (t1, k - j - 1, prefix + "0" * j + "1")
+            for j in range(k - 1, max(k - 2 - h[t1], -1), -1):
+                yield (t1, k - j - 1, prefix + "0" * j + "1")
         elif t1 == sid:  # 1-loop: every 1^j 0 branch precedes 1^k
-            if t0 != self.DEAD:
-                for j in range(k):
-                    if live[k - j - 1][t0]:
-                        yield (t0, k - j - 1, prefix + "1" * j + "0")
+            for j in range(max(k - 1 - h[t0], 0), k):
+                yield (t0, k - j - 1, prefix + "1" * j + "0")
             yield prefix + "1" * k
         elif k == 0:
             yield prefix
         else:
             for letter, t in zip(ALPHABET, (t0, t1)):
-                if live[k - 1][t]:
+                if h[t] >= k - 1:
                     yield (t, k - 1, prefix + letter)
 
     def _backward(self, n: int, assignment: dict[int, int], member: bool) -> list[list[int]]:

@@ -244,7 +244,9 @@ def validate_membership(
 
 @dataclass(frozen=True)
 class Ask:
-    position: int
+    """One round: one or more 1-based positions, asked in this order whatever their answers."""
+
+    positions: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -253,36 +255,37 @@ class Finish:
 
 
 class QueryStrategy:
-    """Value-state recognizer protocol.
+    """Value-state recognizer protocol, played one round at a time.
 
     Subclasses expose ``n`` and implement ``next_action(state)`` returning
     ``Ask`` or ``Finish``.  States are immutable values: ``advance(state,
-    position, bit)`` returns the state after the asked ``position`` was
-    answered with ``bit``, so one state can be advanced along both bits.  By
-    default a state is the transcript of ``(position, bit)`` answers.
+    letters)`` returns the state after the asked round was answered with
+    ``letters``, one letter per asked position in the order asked, so one
+    state can be advanced along every answer.  By default a state is the
+    string of the letters answered so far.
     """
 
     n: int
 
     def initial_state(self):
-        return ()
+        return ""
 
     def next_action(self, state):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def advance(self, state, position: int, bit: int):
-        return state + ((position, bit),)
+    def advance(self, state, letters: str):
+        return state + letters
 
 
 def trace_strategy(
     strategy: QueryStrategy, w: str, budget: int | None = None
 ) -> tuple[list[int], str | None]:
-    """Replay a strategy against a word, answering every query truthfully.
+    """Replay a strategy against a word, answering every round truthfully.
 
     Returns the queried positions in order and the final label.  Raises
-    ``StrategyError`` when the word length does not match or the strategy
-    exceeds the query budget (default: one query per letter), which would
-    indicate a non-terminating strategy.
+    ``StrategyError`` when the word length does not match or a round would
+    pass the query budget (default: one query per letter), naming the first
+    position past it; that would indicate a non-terminating strategy.
     """
     if len(w) != strategy.n:
         raise StrategyError(
@@ -296,31 +299,37 @@ def trace_strategy(
         act = strategy.next_action(state)
         if isinstance(act, Finish):
             return queried, act.label
-        if len(queried) >= budget:
-            raise StrategyError(f"query budget {budget} exceeded at position {act.position}")
-        queried.append(act.position)
-        state = strategy.advance(state, act.position, int(w[act.position - 1]))
+        queried += act.positions
+        if len(queried) > budget:
+            raise StrategyError(f"query budget {budget} exceeded at position {queried[budget]}")
+        state = strategy.advance(state, "".join([w[p - 1] for p in act.positions]))
 
 
 def materialize_strategy(strategy: QueryStrategy) -> DecisionTree:
     """Exhaustively play out a strategy into an explicit deterministic tree.
 
+    A round expands into one branch per asked position, in the order asked,
+    so the tree is the one a strategy asking one position at a time gives.
     Exponential in the strategy depth; intended for small n only.
     """
     first = strategy.next_action(strategy.initial_state())
     if isinstance(first, Finish) and first.label is None:
         return DecisionTree(())
 
-    def expand(state) -> Node:
-        act = strategy.next_action(state)
-        if isinstance(act, Finish):
-            if act.label is None:
-                raise StrategyError("strategy finished without a label")
-            return Leaf(act.label)
-        return Branch(
-            act.position,
-            tuple((bit, expand(strategy.advance(state, act.position, bit))) for bit in (0, 1)),
-        )
+    def expand(state, positions: tuple[int, ...] = (), letters: str = "") -> Node:
+        """The tree below ``state`` once ``letters`` answered the first of its
+        round's ``positions`` (none before the first round)."""
+        if len(letters) == len(positions):
+            if positions:
+                state = strategy.advance(state, letters)
+            act = strategy.next_action(state)
+            if isinstance(act, Finish):
+                if act.label is None:
+                    raise StrategyError("strategy finished without a label")
+                return Leaf(act.label)
+            positions, letters = act.positions, ""
+        return Branch(positions[len(letters)], tuple(
+            (bit, expand(state, positions, letters + "01"[bit])) for bit in (0, 1)))
 
     return DecisionTree((expand(strategy.initial_state()),))
 

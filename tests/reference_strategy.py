@@ -1,10 +1,11 @@
 """Reference block recognition strategy for differential tests.
 
 This is ``BlockRecognitionStrategy`` as it was before its state carried the
-round being read: the state is the plain transcript of ``(position, bit)``
-answers, and every ``next_action`` rebuilds the answer map and reruns the
-whole decision, binary search included, from it.  The production strategy
-must ask the same positions in the same order and announce the same label.
+round being read: it asks one position per round, the state is the plain
+transcript of ``(position, bit)`` answers, and every ``next_action`` rebuilds
+the answer map and reruns the whole decision, binary search included, from
+it.  The production strategy must ask the same positions in the same order
+and announce the same label.
 
 ``reference_worst_case_queries`` is ``builders.worst_case_queries`` as it was
 before it played the strategy as a tree over the slice: it traces every slice
@@ -64,13 +65,20 @@ class ReferenceBlockStrategy(QueryStrategy):
         end = self.mid_end if idx == self.block_count - 1 else start + self.t - 1
         return start, end
 
+    def initial_state(self):
+        return ()
+
+    def advance(self, state, letters: str):
+        # one-position rounds: the state is the transcript of (position, bit) answers
+        return state + ((self.next_action(state).positions[0], int(letters)),)
+
     def next_action(self, state):
         if self.fallback is None:
             return Finish(None)
         ans = dict(state)
         for p in self._lead + self._trail:
             if p not in ans:
-                return Ask(p)
+                return Ask((p,))
         left = [ans[p] for p in self._inner_left]
         right = [ans[p] for p in self._inner_right]
         left_pure = len(set(left)) == 1
@@ -80,12 +88,12 @@ class ReferenceBlockStrategy(QueryStrategy):
         if left_pure and not right_pure:
             for p in self._third_right:
                 if p not in ans:
-                    return Ask(p)
+                    return Ask((p,))
             return self._finish(ans, left[0], self.mid_end)
         if not left_pure and right_pure:
             for p in self._third_left:
                 if p not in ans:
-                    return Ask(p)
+                    return Ask((p,))
             return self._finish(ans, right[0], self.mid_end)
         if not left_pure and not right_pure:
             return Finish(self.fallback)
@@ -96,7 +104,7 @@ class ReferenceBlockStrategy(QueryStrategy):
             start, end = self.block_span(r)
             for p in range(start, end + 1):
                 if p not in ans:
-                    return Ask(p)
+                    return Ask((p,))
             vals = {ans[p] for p in range(start, end + 1)}
             if vals == {a}:
                 lo = r + 1
@@ -107,7 +115,7 @@ class ReferenceBlockStrategy(QueryStrategy):
                 hi_w = min(self.mid_end, end + self.t)
                 for p in range(lo_w, hi_w + 1):
                     if p not in ans:
-                        return Ask(p)
+                        return Ask((p,))
                 return self._finish(ans, a, lo_w - 1, rest=abar)
         boundary = self.block_span(hi)[1] if hi >= 0 else self.mid_start - 1
         return self._finish(ans, a, boundary, rest=abar)

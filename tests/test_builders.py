@@ -232,14 +232,14 @@ def test_strategy_matches_reference_on_drawn_antichains(words):
 def test_strategy_advance_answers_only_the_asked_position():
     strategy = block_recognition_strategy(bundled_language("L3"), 10)
     state = strategy.initial_state()
-    with pytest.raises(StrategyError):
-        strategy.advance(state, 5, 0)  # position 1 is asked first
-    finished = strategy.advance(state, 1, 0)
-    for p in (2, 9, 10):
-        finished = strategy.advance(finished, p, 0)
+    assert strategy.next_action(state).positions == (1, 2, 9, 10)
+    for letters in ("000", "00000"):  # the round asks four positions
+        with pytest.raises(StrategyError):
+            strategy.advance(state, letters)
+    finished = strategy.advance(state, "0000")
     assert strategy.next_action(finished).label == "0" * 10
     with pytest.raises(StrategyError):
-        strategy.advance(finished, 3, 0)
+        strategy.advance(finished, "0")
 
 
 # -- worst-case replay against the per-word reference --------------------------------
@@ -296,8 +296,8 @@ class OneQueryTooManyStrategy(QueryStrategy):
 
     def next_action(self, state):
         if len(state) <= self.n:
-            return Ask(len(state) % self.n + 1)
-        return Finish("".join(str(bit) for _, bit in state[: self.n]))
+            return Ask((len(state) % self.n + 1,))
+        return Finish(state[: self.n])
 
 
 def test_worst_case_queries_rejects_wrong_strategies():
@@ -315,8 +315,17 @@ def test_worst_case_queries_rejects_wrong_strategies():
             replay(lang, OneQueryTooManyStrategy(20), 10**6)
 
 
+def round_transcript(strategy, w):
+    """The (positions, letters) answers of each round the strategy asks ``w``."""
+    state, rounds = strategy.initial_state(), []
+    while isinstance(act := strategy.next_action(state), Ask):
+        rounds.append((act.positions, "".join(w[p - 1] for p in act.positions)))
+        state = strategy.advance(state, rounds[-1][1])
+    return tuple(rounds)
+
+
 def test_worst_case_queries_advances_once_per_transcript_prefix(corpus):
-    # a replay word by word would advance once per (word, query) pair
+    # a replay word by word would advance once per (word, round) pair
     for lang in replay_languages(corpus):
         for n in replay_lengths(block_length(lang)):
             strategy = block_recognition_strategy(lang, n)
@@ -331,11 +340,22 @@ def test_worst_case_queries_advances_once_per_transcript_prefix(corpus):
             prefixes = set()
             plain = block_recognition_strategy(lang, n)
             for w in lang.iter_slice(n):
-                queried, _ = trace_strategy(plain, w)
-                answers = tuple((p, w[p - 1]) for p in queried)
+                answers = round_transcript(plain, w)
                 prefixes.update(answers[:k] for k in range(1, len(answers) + 1))
             assert counts["advance"] == len(prefixes), (lang.name, n)
             assert counts["next_action"] == len(prefixes) + 1, (lang.name, n)
+
+
+def test_worst_case_queries_advances_once_per_round_of_a_long_block():
+    # t = 4: a word-by-word replay of one query per round advanced 557 times
+    lang = Language.from_forbidden("avoid-001-010-0111", ["001", "010", "0111"])
+    strategy = block_recognition_strategy(lang, 76)
+    calls = []
+    advance = strategy.advance
+    strategy.advance = lambda state, letters: calls.append(letters) or advance(state, letters)
+    assert worst_case_queries(lang, strategy, 10**6) == 36
+    assert lang.count_slice(76) == 79
+    assert len(calls) <= 125, len(calls)
 
 
 def replay_outcome(replay, lang, strategy, cap):

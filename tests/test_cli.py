@@ -139,6 +139,19 @@ def test_enumerate_streams_the_slice(tmp_path, monkeypatch, capsys):
     assert out.read_text() == "000\n001\n011\n111"
 
 
+def test_enumerate_one_long_word_builds_no_table(capsys):
+    # L4(10^6) is one word of 10^6 letters; a backward table would hold
+    # 10^6 + 1 rows
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "enumerate", "L4", "-n", "1000000")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (0, "0" * 10**6 + "\n", "")
+    assert peak < 16 << 20, peak
+
+
 def test_enumerate_count_only(capsys):
     code, out, _ = run(capsys, "enumerate", "L2", "-n", "2", "--count-only")
     assert code == 0

@@ -227,6 +227,21 @@ def test_contains_matches_reference_on_long_words():
         assert verdicts == {True, False}, lang.name
 
 
+@given(
+    obstructions=hs.lists(hs.text(alphabet="01", max_size=5), max_size=6),
+    words=hs.lists(hs.text(alphabet="01", max_size=12), max_size=20),
+)
+@settings(max_examples=200, deadline=None)
+def test_contains_matches_the_subsequence_scan_on_raw_word_tuples(obstructions, words):
+    # raw tuples: duplicates, the empty word and dominated words are all kept
+    for raw in (tuple(obstructions), tuple(obstructions) * 2, ("",), ()):
+        lang = Language("raw", raw)
+        for w in words + [""]:
+            assert lang.contains(w) == (not any(is_subsequence(f, w) for f in raw)), (raw, w)
+        with pytest.raises(LanguageSpecError, match="'0a1'"):
+            lang.contains("0a1")
+
+
 def test_slice_examples():
     assert Language.from_forbidden("x", ["10"]).slice(2) == ["00", "01", "11"]
     assert Language.from_forbidden("empty", [""]).slice(3) == []
@@ -411,6 +426,16 @@ def test_iter_words_match_reference():
 @settings(max_examples=25, deadline=None)
 def test_iter_words_match_reference_on_drawn_antichains(words):
     assert_iter_words_match_reference(Language.from_forbidden("drawn", words))
+
+
+@given(words=hs.lists(hs.text(alphabet="01", max_size=5), max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_horizon_matches_the_backward_table(words):
+    # a state reads a member of length k iff k is at most its horizon
+    aut = Language.from_forbidden("drawn", words).automaton()
+    table = aut._backward(14, {}, member=True)
+    for k in range(15):
+        assert [bool(c) for c in table[k]] == [k <= h for h in aut.horizon], (words, k)
 
 
 # -- truth tables against the slice's word strings ------------------------------

@@ -35,6 +35,7 @@ from subword_trees import (
     write_tree_dot,
     write_tree_json,
 )
+from subword_trees.builders import worst_case_queries
 from subword_trees.dimensions import INFINITY
 from subword_trees.language import MAX_SLICE, CapExceeded
 from subword_trees.oracle import (
@@ -436,8 +437,8 @@ class FixedOrderStrategy(QueryStrategy):
 
     def next_action(self, state):
         if len(state) == self.n:
-            return Finish("".join("01"[b] for _, b in sorted(state)))
-        return Ask(len(state) + 1)
+            return Finish(state)
+        return Ask((len(state) + 1,))
 
 
 def test_trace_strategy_replays_answers():
@@ -455,6 +456,43 @@ def test_trace_strategy_length_mismatch():
 def test_trace_strategy_budget():
     with pytest.raises(StrategyError):
         trace_strategy(FixedOrderStrategy(4), "0110", budget=3)
+
+
+class RoundsStrategy(QueryStrategy):
+    """Asks fixed rounds of positions whatever the answers, then announces the
+    word read (when the rounds ask every position once)."""
+
+    def __init__(self, n, rounds):
+        self.n = n
+        self.rounds = rounds
+
+    def next_action(self, state):
+        asked = 0
+        for positions in self.rounds:
+            if asked == len(state):
+                return Ask(positions)
+            asked += len(positions)
+        order = [p for positions in self.rounds for p in positions]
+        return Finish("".join(c for _, c in sorted(zip(order, state))))
+
+
+def test_strategy_rounds_of_several_positions():
+    L2 = bundled_language("L2")
+    paired = RoundsStrategy(4, [(2, 1), (3, 4)])
+    one_by_one = RoundsStrategy(4, [(2,), (1,), (3,), (4,)])
+    tree = materialize_strategy(paired)
+    assert tree == materialize_strategy(one_by_one)
+    assert tree.root_children[0].position == 2
+    assert validate_recognition(tree, L2, 4, "det") is None
+    assert trace_strategy(paired, "0110") == ([2, 1, 3, 4], "0110")
+    assert worst_case_queries(L2, paired, 16) == 4
+    with pytest.raises(StrategyError, match=r"^query budget 3 exceeded at position 4$"):
+        trace_strategy(paired, "0110", budget=3)
+    overlong = RoundsStrategy(4, [(1, 2), (3, 4), (2, 1)])
+    with pytest.raises(StrategyError, match=r"^query budget 4 exceeded at position 2$"):
+        trace_strategy(overlong, "0110")
+    with pytest.raises(StrategyError, match=r"^query budget 4 exceeded at position 2$"):
+        worst_case_queries(L2, overlong, 16)
 
 
 def test_materialize_fixed_strategy():
